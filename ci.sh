@@ -58,6 +58,10 @@ echo "== kernel proptests (unpack_block/read_block/bitmap bulk extraction) =="
 cargo test -p pinot-segment --test proptest_segment
 cargo test -p pinot-bitmap --test proptest_bitmap
 
+echo "== brute-force oracle proptests (per-segment execution, star-tree) =="
+cargo test -p pinot-exec --test proptest_exec
+cargo test -p pinot-startree --test proptest_startree
+
 echo "== pruning proptests (bloom fp/fn bounds, evaluator soundness) =="
 cargo test -p pinot-exec --test proptest_prune
 

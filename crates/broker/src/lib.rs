@@ -24,11 +24,11 @@ use pinot_common::json::Json;
 use pinot_common::profile::{ProfileNode, QueryProfile};
 use pinot_common::query::ServerContribution;
 use pinot_common::query::{ExecutionStats, QueryRequest, QueryResponse};
-use pinot_common::{DataType, PinotError, Result, RetryPolicy, Value};
+use pinot_common::{DataType, PinotError, Result, RetryPolicy, Schema, Value};
 use pinot_exec::segment_exec::IntermediateResult;
 use pinot_exec::{
-    collected_profiles, finalize, merge_intermediate, prune_default, ColumnRange, Prunable,
-    PruneEvaluator, ZoneMapStats,
+    check_aggregation_columns, collected_profiles, finalize, merge_intermediate, prune_default,
+    ColumnRange, Prunable, PruneEvaluator, ZoneMapStats,
 };
 use pinot_obs::{LatencyDigest, Obs, QueryLogEntry, QueryTrace};
 use pinot_pql::{CmpOp, Predicate, Query};
@@ -149,9 +149,11 @@ pub struct Broker {
     /// invalidated by metastore version (segment metadata is written once
     /// but re-uploads bump the version).
     zonemap_cache: Mutex<HashMap<String, CachedZoneMaps>>,
-    /// Time column per physical table, so the hot path doesn't re-parse the
-    /// schema JSON just to classify time-level prunes.
-    time_column_cache: Mutex<HashMap<String, Option<String>>>,
+    /// Parsed schema per physical table with its metastore version, so
+    /// the hot path doesn't re-parse the schema JSON to check aggregation
+    /// columns or to classify time-level prunes (schema evolution bumps
+    /// the version).
+    schema_cache: Mutex<HashMap<String, (u64, Arc<Schema>)>>,
     /// Monotonic per-broker query sequence; mixed with `query_seed` into
     /// the deterministic query ids (separate from `rng` so id assignment
     /// never perturbs routing-table selection).
@@ -259,7 +261,7 @@ impl Broker {
             retry: RetryPolicy::default().with_seed(n as u64),
             exec_prune: RwLock::new(None),
             zonemap_cache: Mutex::new(HashMap::new()),
-            time_column_cache: Mutex::new(HashMap::new()),
+            schema_cache: Mutex::new(HashMap::new()),
             query_seq: std::sync::atomic::AtomicU64::new(0),
             query_seed: 0x9e3779b97f4a7c15 ^ (n as u64).rotate_left(32),
             latency: LatencyDigest::new(HEDGE_LATENCY_WINDOW, HEDGE_MIN_SAMPLES),
@@ -479,6 +481,13 @@ impl Broker {
             }
             v
         };
+        // Checked before routing and pruning, so whether the query is
+        // valid does not depend on which segments its filter matches.
+        for table in &physical {
+            if let Some(schema) = self.schema_cached(table) {
+                check_aggregation_columns(&query, &schema)?;
+            }
+        }
 
         // Result cache: only pure-offline resolutions are cacheable — a
         // consuming realtime segment grows without any view change, so a
@@ -1593,14 +1602,24 @@ impl Broker {
     }
 
     fn time_column_cached(&self, table: &str) -> Option<String> {
-        if let Some(cached) = self.time_column_cache.lock().get(table) {
-            return cached.clone();
+        let schema = self.schema_cached(table)?;
+        schema.time_column().map(|f| f.name.clone())
+    }
+
+    /// The table's schema, parsed once per metastore version; `None`
+    /// while it cannot be read.
+    fn schema_cached(&self, table: &str) -> Option<Arc<Schema>> {
+        let (text, version) = self.schema_text(table).ok()?;
+        if let Some((v, schema)) = self.schema_cache.lock().get(table) {
+            if *v == version {
+                return Some(Arc::clone(schema));
+            }
         }
-        let time_column = self.table_time_column(table).ok().flatten();
-        self.time_column_cache
+        let schema = Arc::new(Schema::from_json(&Json::parse(&text).ok()?).ok()?);
+        self.schema_cache
             .lock()
-            .insert(table.to_string(), time_column.clone());
-        time_column
+            .insert(table.to_string(), (version, Arc::clone(&schema)));
+        Some(schema)
     }
 
     // ---- table metadata helpers ----
@@ -1633,14 +1652,18 @@ impl Broker {
     }
 
     fn table_time_column(&self, qualified: &str) -> Result<Option<String>> {
+        let (text, _) = self.schema_text(qualified)?;
+        let schema = Schema::from_json(&Json::parse(&text)?)?;
+        Ok(schema.time_column().map(|f| f.name.clone()))
+    }
+
+    /// The table's schema JSON and its metastore version.
+    fn schema_text(&self, qualified: &str) -> Result<(String, u64)> {
         let config = self.table_config_physical(qualified)?;
-        let (text, _) = self
-            .cluster
+        self.cluster
             .metastore()
             .get(&format!("/schemas/{}", config.name))
-            .ok_or_else(|| PinotError::Metadata(format!("no schema for {}", config.name)))?;
-        let schema = pinot_common::Schema::from_json(&Json::parse(&text)?)?;
-        Ok(schema.time_column().map(|f| f.name.clone()))
+            .ok_or_else(|| PinotError::Metadata(format!("no schema for {}", config.name)))
     }
 
     /// The hybrid time boundary: the largest time value any offline segment

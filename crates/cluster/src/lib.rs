@@ -229,21 +229,34 @@ impl ClusterManager {
 
     /// Replace a table's ideal state and reconcile.
     pub fn set_ideal_state(&self, table: &str, ideal: IdealState) -> Result<()> {
+        self.update_ideal_state(table, |current| *current = ideal)
+    }
+
+    /// Edit a table's ideal state in place (an empty one if it has none)
+    /// and reconcile. The edit and its metastore copy happen under the
+    /// cluster lock, so concurrent edits — two segment pushes, two
+    /// partitions committing — cannot overwrite each other.
+    pub fn update_ideal_state(
+        &self,
+        table: &str,
+        edit: impl FnOnce(&mut IdealState),
+    ) -> Result<()> {
         {
             let mut inner = self.inner.write();
-            inner.ideal.insert(table.to_string(), ideal.clone());
+            let ideal = inner.ideal.entry(table.to_string()).or_default();
+            edit(ideal);
+            // Persist for observability and controller failover.
+            let rendered: Vec<String> = ideal
+                .segments
+                .iter()
+                .flat_map(|(seg, m)| {
+                    m.iter()
+                        .map(move |(inst, st)| format!("{seg}:{inst}:{}", st.name()))
+                })
+                .collect();
+            self.metastore
+                .set(&format!("/idealstates/{table}"), rendered.join(","), None)?;
         }
-        // Persist for observability and controller failover.
-        let rendered: Vec<String> = ideal
-            .segments
-            .iter()
-            .flat_map(|(seg, m)| {
-                m.iter()
-                    .map(move |(inst, st)| format!("{seg}:{inst}:{}", st.name()))
-            })
-            .collect();
-        self.metastore
-            .set(&format!("/idealstates/{table}"), rendered.join(","), None)?;
         self.rebalance(table)
     }
 

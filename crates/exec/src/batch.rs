@@ -4,25 +4,31 @@
 //! kernels instead decode [`BLOCK_SIZE`]-doc blocks of dictionary ids
 //! ([`ForwardIndex::read_block`]) and stay in id space until
 //! finalization, paying one dictionary lookup per *distinct id* instead
-//! of one per doc:
+//! of one per doc. Their cost follows the selected docs, not the
+//! dictionaries: the only per-query tables sized by a column's
+//! cardinality are DISTINCTCOUNT bitsets, one bit per id.
 //!
-//! * aggregations accumulate over decoded id blocks through a
-//!   dict-id → f64 lookup table built once per (segment, column);
-//! * single-value group-bys hash a packed composite key — the
-//!   per-column dict ids bit-packed into one u64 — and materialize
-//!   group values from the dictionaries only when the map is converted
-//!   to [`GroupKey`]s for merging;
+//! * aggregations read each block's values straight from the typed
+//!   dictionary (one type dispatch per block);
+//! * DISTINCTCOUNT dedups ids in a bitset — per group, in a list until
+//!   the list would outgrow the bitset — and materializes values once
+//!   per distinct id;
+//! * single-value group-bys pack the per-column dict ids into one u64
+//!   key, find the group through a key-indexed table when the key is
+//!   at most 12 bits wide (a hash map otherwise), and
+//!   materialize group values only when converting to [`GroupKey`]s for
+//!   merging;
 //! * projections decode id blocks and translate ids per row.
 //!
 //! Every kernel replicates the row path's observable semantics exactly:
-//! string columns contribute nothing to numeric aggregates (the lut is
-//! `None`, mirroring `numeric() == None`), accumulation happens in
-//! ascending doc order so float sums are bit-identical, and the stats
-//! count the same entries. Queries the kernels cannot serve
-//! (multi-value columns, DISTINCTCOUNT group-bys, composite keys wider
-//! than 64 bits) fall back to the row path, and `PINOT_EXEC_BATCH=0`
-//! forces it globally — the differential suite asserts the two engines
-//! are byte-identical.
+//! string columns contribute nothing to numeric aggregates (mirroring
+//! `numeric() == None`), accumulation happens in ascending doc order so
+//! float sums are bit-identical, and the stats count the same entries.
+//! Multi-value group columns and composite keys wider than 64 bits fall
+//! back to the row path, and `PINOT_EXEC_BATCH=0` forces it globally —
+//! the differential suite asserts the two engines are byte-identical.
+//!
+//! [`ForwardIndex::read_block`]: pinot_segment::forward::ForwardIndex::read_block
 
 use crate::aggstate::AggState;
 use crate::key::{GroupKey, GroupValue};
@@ -33,6 +39,7 @@ use pinot_obs::Obs;
 use pinot_pql::{AggFunction, AggregateExpr};
 use pinot_segment::bitpack::bits_needed;
 use pinot_segment::column::ColumnData;
+use pinot_segment::dictionary::Dictionary;
 use pinot_segment::DictId;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -163,65 +170,129 @@ pub(crate) fn decode_block(col: &ColumnData, block: &DocBlock<'_>, scratch: &mut
     }
 }
 
-/// Dict-id → f64 table for one column, `None` for string dictionaries —
-/// exactly the ids the row path's `numeric()` skips.
-fn numeric_lut(col: &ColumnData) -> Option<Vec<f64>> {
-    let card = col.dictionary.cardinality();
-    if card == 0 {
-        // Empty dictionary: no doc can reference an id either way.
-        return Some(Vec::new());
+/// Evaluate `$body` with `$values` bound to an iterator over the f64
+/// values of `$ids`, read straight from the typed dictionary; skip it for
+/// string dictionaries — the ids the row path's `numeric()` skips. The
+/// type dispatch is paid once per block, and each value converts exactly
+/// as [`Dictionary::numeric_of`] does, so float sums stay bit-identical
+/// to the row path.
+macro_rules! with_numeric_values {
+    ($dict:expr, $ids:expr, |$values:ident| $body:expr) => {
+        match $dict {
+            Dictionary::Int(v) => {
+                let $values = $ids.iter().map(|&id| v[id as usize] as f64);
+                $body
+            }
+            Dictionary::Long(v) => {
+                let $values = $ids.iter().map(|&id| v[id as usize] as f64);
+                $body
+            }
+            Dictionary::Float(v) => {
+                let $values = $ids.iter().map(|&id| v[id as usize] as f64);
+                $body
+            }
+            Dictionary::Double(v) => {
+                let $values = $ids.iter().map(|&id| v[id as usize]);
+                $body
+            }
+            Dictionary::Boolean(v) => {
+                let $values = $ids.iter().map(|&id| v[id as usize] as u8 as f64);
+                $body
+            }
+            Dictionary::String(_) => {}
+        }
+    };
+}
+
+/// One block's values, for kernels that read them row by row.
+fn numeric_block(dict: &Dictionary, ids: &[DictId], out: &mut Vec<f64>) {
+    out.clear();
+    with_numeric_values!(dict, ids, |values| out.extend(values));
+}
+
+/// The dictionary ids one DISTINCTCOUNT state has seen. Ids biject with
+/// values, so id-dedup ≡ value-dedup.
+enum IdSet {
+    /// Ids as seen, duplicates included; sorted and deduped at the end.
+    Sparse(Vec<DictId>),
+    /// One bit per dictionary id.
+    Dense(Vec<u64>),
+}
+
+impl IdSet {
+    /// The set of a whole selection: one bit per dictionary id.
+    fn dense(card: usize) -> IdSet {
+        IdSet::Dense(vec![0; card.div_ceil(64)])
     }
-    col.dictionary.numeric_of(0)?;
-    Some(
-        (0..card as DictId)
-            .map(|id| {
-                col.dictionary
-                    .numeric_of(id)
-                    .expect("dictionary values share one type")
-            })
-            .collect(),
-    )
-}
 
-/// One distinct aggregation column: shared decode scratch + lut, so two
-/// aggregations over the same column decode it once per block.
-struct UniqCol<'a> {
-    col: &'a ColumnData,
-    lut: Option<Vec<f64>>,
-    ids: Vec<DictId>,
-}
+    /// The set of one group, which may see only a few of the selected
+    /// docs: a list while it takes less memory than the bitset would (the
+    /// Roaring papers' container rule), so many groups over a large
+    /// dictionary cost memory in proportion to their docs rather than
+    /// groups × cardinality.
+    fn sparse() -> IdSet {
+        IdSet::Sparse(Vec::new())
+    }
 
-/// Per-aggregation dispatch: which unique column feeds it, if any.
-enum AggSource {
-    /// COUNT(*)-style: no column, the row path feeds it 0.0 per doc.
-    NoColumn,
-    /// Index into the unique-column table.
-    Column(usize),
-}
+    fn extend(&mut self, ids: &[DictId], card: usize) {
+        if let IdSet::Sparse(list) = self {
+            // 32 bits per listed id against one bit per dictionary id.
+            if (list.len() + ids.len()) * DictId::BITS as usize <= card {
+                list.extend_from_slice(ids);
+                return;
+            }
+            let mut bits = vec![0; card.div_ceil(64)];
+            set_bits(&mut bits, list);
+            *self = IdSet::Dense(bits);
+        }
+        if let IdSet::Dense(bits) = self {
+            set_bits(bits, ids);
+        }
+    }
 
-fn unique_columns<'a>(cols: &[Option<&'a ColumnData>]) -> (Vec<UniqCol<'a>>, Vec<AggSource>) {
-    let mut uniq: Vec<UniqCol<'a>> = Vec::new();
-    let mut sources = Vec::with_capacity(cols.len());
-    for col in cols {
-        match col {
-            None => sources.push(AggSource::NoColumn),
-            Some(col) => {
-                let slot = uniq
-                    .iter()
-                    .position(|u| u.col.spec.name == col.spec.name)
-                    .unwrap_or_else(|| {
-                        uniq.push(UniqCol {
-                            col,
-                            lut: numeric_lut(col),
-                            ids: Vec::new(),
-                        });
-                        uniq.len() - 1
-                    });
-                sources.push(AggSource::Column(slot));
+    /// The distinct ids, ascending.
+    fn into_sorted_ids(self) -> Vec<DictId> {
+        match self {
+            IdSet::Sparse(mut ids) => {
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            }
+            IdSet::Dense(bits) => {
+                let mut ids =
+                    Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
+                for (w, &word) in bits.iter().enumerate() {
+                    let mut x = word;
+                    while x != 0 {
+                        ids.push((w * 64) as DictId + x.trailing_zeros());
+                        x &= x - 1;
+                    }
+                }
+                ids
             }
         }
     }
-    (uniq, sources)
+
+    /// Late materialization into a DISTINCTCOUNT state: one dictionary
+    /// lookup per distinct id, in ascending id order.
+    fn drain_into(self, state: &mut AggState, dict: &Dictionary) {
+        let AggState::Distinct(set) = state else {
+            unreachable!("id sets feed DISTINCTCOUNT only")
+        };
+        let ids = self.into_sorted_ids();
+        set.reserve(ids.len());
+        set.extend(
+            ids.into_iter()
+                .map(|id| GroupValue::from_value(&dict.value_of(id))),
+        );
+    }
+}
+
+#[inline]
+fn set_bits(bits: &mut [u64], ids: &[DictId]) {
+    for &id in ids {
+        bits[id as usize >> 6] |= 1 << (id & 63);
+    }
 }
 
 /// `accept_numeric(0.0)` repeated `n` times, collapsed. Only ever fed
@@ -242,47 +313,270 @@ fn accept_zero_repeated(state: &mut AggState, n: u64) {
     }
 }
 
-/// Accumulate one decoded id block into a state through the column lut.
-/// Additions run in ascending doc order, so float results match the row
-/// path bit for bit.
+/// Accumulate one decoded id block into a state, straight from the
+/// column's dictionary. Additions run in ascending doc order, so float
+/// results match the row path bit for bit.
+fn accumulate_block(state: &mut AggState, dict: &Dictionary, ids: &[DictId]) {
+    with_numeric_values!(dict, ids, |values| accumulate(state, values));
+}
+
 #[inline]
-fn accumulate_block(state: &mut AggState, lut: &[f64], ids: &[DictId]) {
+fn accumulate(state: &mut AggState, values: impl ExactSizeIterator<Item = f64>) {
     match state {
-        AggState::Count(n) => *n += ids.len() as u64,
-        AggState::Sum(s) => {
-            for &id in ids {
-                *s += lut[id as usize];
-            }
-        }
-        AggState::Min(m) => {
-            for &id in ids {
-                *m = m.min(lut[id as usize]);
-            }
-        }
-        AggState::Max(m) => {
-            for &id in ids {
-                *m = m.max(lut[id as usize]);
-            }
-        }
+        AggState::Count(n) => *n += values.len() as u64,
+        AggState::Sum(s) => values.for_each(|x| *s += x),
+        AggState::Min(m) => values.for_each(|x| *m = m.min(x)),
+        AggState::Max(m) => values.for_each(|x| *m = m.max(x)),
         AggState::Avg { sum, count } => {
-            for &id in ids {
-                *sum += lut[id as usize];
-            }
-            *count += ids.len() as u64;
+            *count += values.len() as u64;
+            values.for_each(|x| *sum += x);
         }
-        AggState::Distinct(_) => unreachable!("distinct accumulates in id space"),
+        AggState::Distinct(_) => unreachable!("DISTINCTCOUNT accumulates in id space"),
     }
 }
 
-/// Can the batched ungrouped-aggregation kernel serve these columns?
-pub(crate) fn aggregate_eligible(cols: &[Option<&ColumnData>]) -> bool {
-    cols.iter()
-        .all(|c| c.is_none_or(|c| c.forward.is_single_value()))
+/// One distinct aggregation column: decode scratch shared by every
+/// aggregation over it, so two aggregations over one column decode it
+/// once per block.
+struct UniqCol<'a> {
+    col: &'a ColumnData,
+    ids: Vec<DictId>,
+    /// The block's values for grouped numeric aggregates; `None` when no
+    /// numeric aggregate reads the column or it holds strings.
+    values: Option<Vec<f64>>,
 }
 
-/// Batched ungrouped aggregation: SUM/MIN/MAX/COUNT/AVG accumulate over
-/// decoded id blocks through the column lut; DISTINCTCOUNT marks a
-/// per-id seen table and materializes values once at the end.
+/// Where one aggregation reads its input.
+#[derive(Clone, Copy)]
+enum AggSource {
+    /// COUNT(*)-style: no column, the row path feeds it 0.0 per doc.
+    NoColumn,
+    /// SUM/MIN/MAX/COUNT/AVG over unique column `slot`.
+    Numeric(usize),
+    /// DISTINCTCOUNT over unique column `slot`, into each group's id set
+    /// number `set`.
+    Distinct { slot: usize, set: usize },
+}
+
+/// The unique columns, each aggregation's source, and for each id set
+/// its (aggregation, unique column) pair.
+type Sources<'a> = (Vec<UniqCol<'a>>, Vec<AggSource>, Vec<(usize, usize)>);
+
+fn resolve_sources<'a>(aggs: &[AggregateExpr], cols: &[Option<&'a ColumnData>]) -> Sources<'a> {
+    let mut uniq: Vec<UniqCol<'a>> = Vec::new();
+    let mut sources = Vec::with_capacity(cols.len());
+    let mut sets = Vec::new();
+    for (a, (agg, col)) in aggs.iter().zip(cols).enumerate() {
+        let Some(col) = col else {
+            sources.push(AggSource::NoColumn);
+            continue;
+        };
+        let slot = uniq
+            .iter()
+            .position(|u| u.col.spec.name == col.spec.name)
+            .unwrap_or_else(|| {
+                uniq.push(UniqCol {
+                    col,
+                    ids: Vec::new(),
+                    values: None,
+                });
+                uniq.len() - 1
+            });
+        if agg.function == AggFunction::DistinctCount {
+            sources.push(AggSource::Distinct {
+                slot,
+                set: sets.len(),
+            });
+            sets.push((a, slot));
+        } else {
+            if !matches!(*col.dictionary, Dictionary::String(_)) {
+                uniq[slot].values.get_or_insert_with(Vec::new);
+            }
+            sources.push(AggSource::Numeric(slot));
+        }
+    }
+    (uniq, sources, sets)
+}
+
+/// Packed keys of up to this many bits index a table directly (4096
+/// slots, 16 KiB); wider keys are hashed. Every group-by of the benchmark
+/// workloads fits under it.
+const DIRECT_KEY_BITS: u32 = 12;
+
+/// Packed group key → group number.
+enum GroupIndex {
+    /// Indexed by the packed key itself; `u32::MAX` marks an unseen key.
+    Direct(Vec<u32>),
+    Hashed(HashMap<u64, u32>),
+}
+
+impl GroupIndex {
+    fn new(key_bits: u32) -> GroupIndex {
+        if key_bits <= DIRECT_KEY_BITS {
+            GroupIndex::Direct(vec![u32::MAX; 1 << key_bits])
+        } else {
+            GroupIndex::Hashed(HashMap::new())
+        }
+    }
+
+    #[inline]
+    fn group_of(&mut self, key: u64, new_group: impl FnOnce() -> u32) -> u32 {
+        match self {
+            GroupIndex::Direct(slots) => {
+                let slot = &mut slots[key as usize];
+                if *slot == u32::MAX {
+                    *slot = new_group();
+                }
+                *slot
+            }
+            GroupIndex::Hashed(map) => *map.entry(key).or_insert_with(new_group),
+        }
+    }
+}
+
+/// Per-group accumulators in first-seen order, group-major: group `g`
+/// owns `states[g * aggs ..][.. aggs]` and `sets[g * nsets ..][.. nsets]`.
+struct Groups {
+    keys: Vec<u64>,
+    states: Vec<AggState>,
+    sets: Vec<IdSet>,
+}
+
+impl Groups {
+    fn push(
+        &mut self,
+        key: u64,
+        aggs: &[AggregateExpr],
+        sets: impl IntoIterator<Item = IdSet>,
+    ) -> u32 {
+        self.keys.push(key);
+        self.states
+            .extend(aggs.iter().map(|a| AggState::new(a.function)));
+        self.sets.extend(sets);
+        (self.keys.len() - 1) as u32
+    }
+}
+
+/// The id-space aggregation kernel behind both the ungrouped and the
+/// grouped entry points. Each doc's group-column ids pack into one u64
+/// key (`layout`); with no group columns every doc is in group 0 and
+/// whole blocks accumulate at once. Work follows the selection; the only
+/// tables sized by a dictionary are DISTINCTCOUNT bitsets, one bit per id:
+/// one per ungrouped state, and per group only once its id list would
+/// take more memory than the bitset.
+fn aggregate_blocks(
+    aggs: &[AggregateExpr],
+    group_cols: &[&ColumnData],
+    agg_cols: &[Option<&ColumnData>],
+    layout: &PackedKeyLayout,
+    selection: &DocSelection,
+    stats: &mut ExecutionStats,
+    kstats: &mut KernelStats,
+) -> Groups {
+    let (mut uniq, sources, set_specs) = resolve_sources(aggs, agg_cols);
+    let set_cards: Vec<usize> = set_specs
+        .iter()
+        .map(|&(_, slot)| uniq[slot].col.dictionary.cardinality())
+        .collect();
+    let (naggs, nsets) = (aggs.len(), set_specs.len());
+    let mut groups = Groups {
+        keys: Vec::new(),
+        states: Vec::new(),
+        sets: Vec::new(),
+    };
+    let mut index = GroupIndex::new(layout.bits);
+    if group_cols.is_empty() {
+        // Ungrouped: the one group exists even when nothing matches, and
+        // its id sets may see every selected doc.
+        groups.push(0, aggs, set_cards.iter().map(|&card| IdSet::dense(card)));
+    }
+    let mut group_ids: Vec<Vec<DictId>> = vec![Vec::new(); group_cols.len()];
+    let mut keys: Vec<u64> = Vec::new();
+    let mut rows: Vec<u32> = Vec::new();
+    let mut docs = 0u64;
+    selection.for_each_block(|block| {
+        kstats.observe(&block);
+        let len = block.len();
+        docs += len as u64;
+        for u in &mut uniq {
+            decode_block(u.col, &block, &mut u.ids);
+        }
+        if group_cols.is_empty() {
+            for (a, source) in sources.iter().enumerate() {
+                let state = &mut groups.states[a];
+                match *source {
+                    AggSource::NoColumn => accept_zero_repeated(state, len as u64),
+                    AggSource::Numeric(slot) => {
+                        accumulate_block(state, &uniq[slot].col.dictionary, &uniq[slot].ids)
+                    }
+                    AggSource::Distinct { slot, set } => {
+                        groups.sets[set].extend(&uniq[slot].ids, set_cards[set])
+                    }
+                }
+            }
+            return;
+        }
+        for u in &mut uniq {
+            if let Some(values) = &mut u.values {
+                numeric_block(&u.col.dictionary, &u.ids, values);
+            }
+        }
+        for (col, ids) in group_cols.iter().zip(&mut group_ids) {
+            decode_block(col, &block, ids);
+        }
+        keys.clear();
+        keys.resize(len, 0);
+        for (ids, &shift) in group_ids.iter().zip(&layout.shifts) {
+            for (key, &id) in keys.iter_mut().zip(ids) {
+                *key |= (id as u64) << shift;
+            }
+        }
+        rows.clear();
+        rows.extend(keys.iter().map(|&key| {
+            index.group_of(key, || {
+                groups.push(key, aggs, set_cards.iter().map(|_| IdSet::sparse()))
+            })
+        }));
+        // Aggregation-major, rows ascending within: each group still sees
+        // its docs in ascending order.
+        for (a, source) in sources.iter().enumerate() {
+            match *source {
+                AggSource::NoColumn => {
+                    for &g in &rows {
+                        groups.states[g as usize * naggs + a].accept_numeric(0.0);
+                    }
+                }
+                AggSource::Numeric(slot) => {
+                    for (&g, &x) in rows.iter().zip(uniq[slot].values.iter().flatten()) {
+                        groups.states[g as usize * naggs + a].accept_numeric(x);
+                    }
+                }
+                AggSource::Distinct { slot, set } => {
+                    for (&g, id) in rows.iter().zip(&uniq[slot].ids) {
+                        groups.sets[g as usize * nsets + set]
+                            .extend(std::slice::from_ref(id), set_cards[set]);
+                    }
+                }
+            }
+        }
+    });
+    // Each (doc, column) read counts once — same rule as the row path.
+    let per_doc = (group_cols.len() + agg_cols.iter().filter(|c| c.is_some()).count()) as u64;
+    stats.num_entries_scanned_post_filter += docs * per_doc;
+
+    for (i, ids) in std::mem::take(&mut groups.sets).into_iter().enumerate() {
+        let (a, slot) = set_specs[i % nsets];
+        ids.drain_into(
+            &mut groups.states[i / nsets * naggs + a],
+            &uniq[slot].col.dictionary,
+        );
+    }
+    groups
+}
+
+/// Batched ungrouped aggregation: SUM/MIN/MAX/COUNT/AVG accumulate
+/// decoded id blocks through the typed dictionary; DISTINCTCOUNT gathers
+/// ids and materializes values once per distinct id at the end.
 pub(crate) fn aggregate_selection_batch(
     aggs: &[AggregateExpr],
     cols: &[Option<&ColumnData>],
@@ -290,87 +584,26 @@ pub(crate) fn aggregate_selection_batch(
     stats: &mut ExecutionStats,
     kstats: &mut KernelStats,
 ) -> Vec<AggState> {
-    let mut states: Vec<AggState> = aggs.iter().map(|a| AggState::new(a.function)).collect();
-    let (mut uniq, sources) = unique_columns(cols);
-    // Per-aggregation seen table for DISTINCTCOUNT (id space).
-    let mut seen: Vec<Vec<bool>> = aggs
-        .iter()
-        .zip(cols)
-        .map(|(a, c)| match (a.function, c) {
-            (AggFunction::DistinctCount, Some(c)) => vec![false; c.dictionary.cardinality()],
-            _ => Vec::new(),
-        })
-        .collect();
-    let mut entries = 0u64;
-    selection.for_each_block(|block| {
-        kstats.observe(&block);
-        let len = block.len() as u64;
-        for u in &mut uniq {
-            decode_block(u.col, &block, &mut u.ids);
-        }
-        for (i, state) in states.iter_mut().enumerate() {
-            match sources[i] {
-                AggSource::NoColumn => accept_zero_repeated(state, len),
-                AggSource::Column(slot) => {
-                    let u = &uniq[slot];
-                    entries += len;
-                    if matches!(state, AggState::Distinct(_)) {
-                        let seen = &mut seen[i];
-                        for &id in &u.ids {
-                            seen[id as usize] = true;
-                        }
-                    } else if let Some(lut) = &u.lut {
-                        accumulate_block(state, lut, &u.ids);
-                    }
-                }
-            }
-        }
-    });
-    // Late materialization for DISTINCTCOUNT: one dictionary lookup per
-    // distinct id actually observed.
-    for (i, state) in states.iter_mut().enumerate() {
-        if let AggSource::Column(slot) = sources[i] {
-            if matches!(state, AggState::Distinct(_)) {
-                let dict = &uniq[slot].col.dictionary;
-                for (id, hit) in seen[i].iter().enumerate() {
-                    if *hit {
-                        state.accept_value(&dict.value_of(id as DictId));
-                    }
-                }
-            }
-        }
-    }
-    stats.num_entries_scanned_post_filter += entries;
-    states
+    let ungrouped = PackedKeyLayout {
+        shifts: Vec::new(),
+        masks: Vec::new(),
+        bits: 0,
+    };
+    aggregate_blocks(aggs, &[], cols, &ungrouped, selection, stats, kstats).states
 }
 
 /// Layout of the packed composite group key: per-column bit offsets and
-/// masks inside one u64.
+/// masks inside one u64, and the bits used in total.
 pub(crate) struct PackedKeyLayout {
     shifts: Vec<u32>,
     masks: Vec<u64>,
+    bits: u32,
 }
 
 /// Decide whether the packed-key group-by kernel can serve this query:
-/// single-value columns only, no DISTINCTCOUNT, and the per-column id
-/// widths must fit one u64. `None` falls back to the `GroupKey` path.
-pub(crate) fn group_by_layout(
-    aggs: &[AggregateExpr],
-    group_cols: &[&ColumnData],
-    agg_cols: &[Option<&ColumnData>],
-) -> Option<PackedKeyLayout> {
-    if aggs
-        .iter()
-        .any(|a| a.function == AggFunction::DistinctCount)
-    {
-        return None;
-    }
-    if agg_cols
-        .iter()
-        .any(|c| c.is_some_and(|c| !c.forward.is_single_value()))
-    {
-        return None;
-    }
+/// single-value group columns whose id widths fit one u64. `None` falls
+/// back to the `GroupKey` path.
+pub(crate) fn group_by_layout(group_cols: &[&ColumnData]) -> Option<PackedKeyLayout> {
     let mut shifts = Vec::with_capacity(group_cols.len());
     let mut masks = Vec::with_capacity(group_cols.len());
     let mut used = 0u32;
@@ -391,12 +624,16 @@ pub(crate) fn group_by_layout(
         });
         used += bits;
     }
-    Some(PackedKeyLayout { shifts, masks })
+    Some(PackedKeyLayout {
+        shifts,
+        masks,
+        bits: used,
+    })
 }
 
-/// Batched single-value group-by: hash a packed u64 of dict ids per doc,
-/// accumulate through column luts, and translate keys to `GroupKey`s
-/// only once per group at the end.
+/// Batched single-value group-by: map each doc's packed key to a group
+/// (key-indexed or hashed, see [`GroupIndex`]), accumulate per group, and
+/// translate keys to `GroupKey`s only once per group at the end.
 pub(crate) fn group_by_selection_batch(
     aggs: &[AggregateExpr],
     group_cols: &[&ColumnData],
@@ -406,53 +643,12 @@ pub(crate) fn group_by_selection_batch(
     stats: &mut ExecutionStats,
     kstats: &mut KernelStats,
 ) -> HashMap<GroupKey, Vec<AggState>> {
-    let (mut uniq, sources) = unique_columns(agg_cols);
-    let mut packed: HashMap<u64, Vec<AggState>> = HashMap::new();
-    let mut group_ids: Vec<Vec<DictId>> = vec![Vec::new(); group_cols.len()];
-    let mut keys: Vec<u64> = Vec::new();
-    let mut docs = 0u64;
-    selection.for_each_block(|block| {
-        kstats.observe(&block);
-        let len = block.len();
-        docs += len as u64;
-        for (col, ids) in group_cols.iter().zip(&mut group_ids) {
-            decode_block(col, &block, ids);
-        }
-        keys.clear();
-        keys.resize(len, 0);
-        for (ids, &shift) in group_ids.iter().zip(&layout.shifts) {
-            for (key, &id) in keys.iter_mut().zip(ids) {
-                *key |= (id as u64) << shift;
-            }
-        }
-        for u in &mut uniq {
-            decode_block(u.col, &block, &mut u.ids);
-        }
-        for (row, &key) in keys.iter().enumerate() {
-            let states = packed
-                .entry(key)
-                .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.function)).collect());
-            for (state, source) in states.iter_mut().zip(&sources) {
-                match source {
-                    AggSource::NoColumn => accept_zero_repeated(state, 1),
-                    AggSource::Column(slot) => {
-                        let u = &uniq[*slot];
-                        if let Some(lut) = &u.lut {
-                            state.accept_numeric(lut[u.ids[row] as usize]);
-                        }
-                    }
-                }
-            }
-        }
-    });
-    // Each (doc, column) read counts once — same rule as the row path.
-    let per_doc = (group_cols.len() + agg_cols.iter().filter(|c| c.is_some()).count()) as u64;
-    stats.num_entries_scanned_post_filter += docs * per_doc;
-
+    let groups = aggregate_blocks(aggs, group_cols, agg_cols, layout, selection, stats, kstats);
     // Late materialization: unpack ids from each composite key and look
     // the group values up once per *group*, not once per doc.
-    let mut out: HashMap<GroupKey, Vec<AggState>> = HashMap::with_capacity(packed.len());
-    for (key, states) in packed {
+    let mut states = groups.states.into_iter();
+    let mut out: HashMap<GroupKey, Vec<AggState>> = HashMap::with_capacity(groups.keys.len());
+    for key in groups.keys {
         let group_key: GroupKey = group_cols
             .iter()
             .enumerate()
@@ -461,7 +657,7 @@ pub(crate) fn group_by_selection_batch(
                 GroupValue::from_value(&col.dictionary.value_of(id))
             })
             .collect();
-        out.insert(group_key, states);
+        out.insert(group_key, states.by_ref().take(aggs.len()).collect());
     }
     out
 }
@@ -502,4 +698,70 @@ pub(crate) fn select_rows_batch(
     });
     stats.num_entries_scanned_post_filter += (rows.len() * cols.len()) as u64;
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn numeric_block_converts_like_numeric_of() {
+        let dicts = [
+            Dictionary::Int(vec![-3, 7, i32::MAX]),
+            Dictionary::Long(vec![-(1 << 60) - 1, 0, (1 << 53) + 1]),
+            Dictionary::Float(vec![-0.1, 0.3, f32::MAX]),
+            Dictionary::Double(vec![-0.0, 0.1, 1e300]),
+            Dictionary::Boolean(vec![false, true]),
+        ];
+        let mut out = Vec::new();
+        for dict in &dicts {
+            let ids: Vec<DictId> = (0..dict.cardinality() as DictId).rev().collect();
+            numeric_block(dict, &ids, &mut out);
+            let expected: Vec<u64> = ids
+                .iter()
+                .map(|&id| dict.numeric_of(id).unwrap().to_bits())
+                .collect();
+            let got: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, expected, "{dict:?}");
+        }
+        let strings = Dictionary::String(vec!["a".into()]);
+        numeric_block(&strings, &[0], &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn group_id_set_is_a_list_until_it_outgrows_the_bitset() {
+        let card = 64 * 32;
+        let mut set = IdSet::sparse();
+        set.extend(&[900, 5, 900, 77], card);
+        assert!(matches!(set, IdSet::Sparse(_)));
+        set.extend(&[1; 60], card); // 64 ids: 2048 bits, the bitset's size
+        assert!(matches!(set, IdSet::Sparse(_)));
+        let full: Vec<DictId> = (0..card as DictId).step_by(3).collect();
+        set.extend(&full, card);
+        assert!(matches!(set, IdSet::Dense(_)));
+        let mut expected = full.clone();
+        expected.extend([1, 5, 77, 900]);
+        expected.sort_unstable();
+        expected.dedup();
+        assert_eq!(set.into_sorted_ids(), expected);
+
+        // A dictionary smaller than one id's bits has no list at all.
+        let mut tiny = IdSet::sparse();
+        tiny.extend(&[3, 1, 3], 4);
+        assert!(matches!(tiny, IdSet::Dense(_)));
+        assert_eq!(tiny.into_sorted_ids(), vec![1, 3]);
+        let mut whole = IdSet::dense(4);
+        whole.extend(&[2, 2], 4);
+        assert_eq!(whole.into_sorted_ids(), vec![2]);
+    }
+
+    #[test]
+    fn group_index_is_key_indexed_only_for_small_key_spaces() {
+        let direct = |bits| matches!(GroupIndex::new(bits), GroupIndex::Direct(_));
+        assert!(direct(0));
+        assert!(direct(DIRECT_KEY_BITS));
+        assert!(!direct(DIRECT_KEY_BITS + 1));
+        assert!(!direct(64));
+    }
 }

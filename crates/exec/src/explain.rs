@@ -61,6 +61,9 @@ pub fn explain_segment(
     for c in query.referenced_columns() {
         segment.column(c)?;
     }
+    if let SelectList::Aggregations(aggs) = &query.select {
+        crate::segment_exec::aggregation_columns(segment, aggs)?;
+    }
 
     let prune = if opts.prune_enabled() {
         let evaluator = PruneEvaluator::new(time_column.map(String::from));
@@ -145,30 +148,11 @@ fn raw_plan_uses_batch(handle: &SegmentHandle, query: &Query, opts: &ExecOptions
     let segment = &handle.segment;
     let lookup = |c: &str| segment.column(c);
     match &query.select {
-        SelectList::Aggregations(aggs) if query.group_by.is_empty() => {
-            let cols: Option<Vec<Option<&ColumnData>>> = aggs
-                .iter()
-                .map(|a| match a.column.as_deref() {
-                    Some(c) => lookup(c).ok().map(Some),
-                    None => Some(None),
-                })
-                .collect();
-            cols.is_some_and(|cols| batch::aggregate_eligible(&cols))
-        }
-        SelectList::Aggregations(aggs) => {
+        SelectList::Aggregations(_) if query.group_by.is_empty() => true,
+        SelectList::Aggregations(_) => {
             let group_cols: Option<Vec<&ColumnData>> =
                 query.group_by.iter().map(|c| lookup(c).ok()).collect();
-            let agg_cols: Option<Vec<Option<&ColumnData>>> = aggs
-                .iter()
-                .map(|a| match a.column.as_deref() {
-                    Some(c) => lookup(c).ok().map(Some),
-                    None => Some(None),
-                })
-                .collect();
-            match (group_cols, agg_cols) {
-                (Some(g), Some(a)) => batch::group_by_layout(aggs, &g, &a).is_some(),
-                _ => false,
-            }
+            group_cols.is_some_and(|g| batch::group_by_layout(&g).is_some())
         }
         SelectList::Projections(cols) => {
             let cols: Option<Vec<&ColumnData>> = cols.iter().map(|c| lookup(c).ok()).collect();

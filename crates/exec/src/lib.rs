@@ -50,6 +50,7 @@ pub use prune::{
     PruneStatsSource, ZoneMapStats,
 };
 pub use segment_exec::{
-    execute_on_segment, execute_on_segment_with, IntermediateResult, SegmentHandle,
+    check_aggregation_columns, execute_on_segment, execute_on_segment_with, IntermediateResult,
+    SegmentHandle,
 };
 pub use selection::{DocBlock, DocSelection, IdMatcher};

@@ -8,7 +8,7 @@ use crate::planner;
 use crate::selection::DocSelection;
 use pinot_common::profile::ProfileNode;
 use pinot_common::query::ExecutionStats;
-use pinot_common::{PinotError, Result, Value};
+use pinot_common::{PinotError, Result, Schema, Value};
 use pinot_pql::{AggregateExpr, Query, SelectList};
 use pinot_segment::column::ColumnData;
 use pinot_segment::ImmutableSegment;
@@ -329,11 +329,7 @@ impl<'a> ScanPlan<'a> {
     ) -> Result<ScanPlan<'a>> {
         Ok(match &query.select {
             SelectList::Aggregations(aggs) if query.group_by.is_empty() => {
-                let cols: Vec<Option<&ColumnData>> = aggs
-                    .iter()
-                    .map(|a| a.column.as_deref().map(|c| segment.column(c)).transpose())
-                    .collect::<Result<_>>()?;
-                let batch = batch && batch::aggregate_eligible(&cols);
+                let cols = aggregation_columns(segment, aggs)?;
                 ScanPlan::Aggregate { aggs, cols, batch }
             }
             SelectList::Aggregations(aggs) => {
@@ -342,13 +338,8 @@ impl<'a> ScanPlan<'a> {
                     .iter()
                     .map(|c| segment.column(c))
                     .collect::<Result<_>>()?;
-                let agg_cols: Vec<Option<&ColumnData>> = aggs
-                    .iter()
-                    .map(|a| a.column.as_deref().map(|c| segment.column(c)).transpose())
-                    .collect::<Result<_>>()?;
-                let layout = batch
-                    .then(|| batch::group_by_layout(aggs, &group_cols, &agg_cols))
-                    .flatten();
+                let agg_cols = aggregation_columns(segment, aggs)?;
+                let layout = batch.then(|| batch::group_by_layout(&group_cols)).flatten();
                 ScanPlan::GroupBy {
                     aggs,
                     group_cols,
@@ -454,6 +445,51 @@ impl<'a> ScanPlan<'a> {
             }
         }
     }
+}
+
+/// Reject a query that aggregates a multi-value column of `schema`:
+/// neither kernel defines what SUM or DISTINCTCOUNT of an array means
+/// (grouping by one is fine). Brokers run it once per query, before any
+/// pruning, so the error does not depend on which segments match;
+/// [`ScanPlan`] resolution repeats it per segment as the backstop.
+pub fn check_aggregation_columns(query: &Query, schema: &Schema) -> Result<()> {
+    let SelectList::Aggregations(aggs) = &query.select else {
+        return Ok(());
+    };
+    match aggs
+        .iter()
+        .filter_map(|a| a.column.as_deref())
+        .find(|&name| schema.field(name).is_some_and(|f| !f.single_value))
+    {
+        Some(name) => Err(multi_value_aggregation(name)),
+        None => Ok(()),
+    }
+}
+
+fn multi_value_aggregation(column: &str) -> PinotError {
+    PinotError::InvalidQuery(format!(
+        "aggregation over multi-value column '{column}' is not supported"
+    ))
+}
+
+/// Resolve each aggregation's input column, rejecting a multi-value one
+/// (see [`check_aggregation_columns`]).
+pub(crate) fn aggregation_columns<'a>(
+    segment: &'a ImmutableSegment,
+    aggs: &[AggregateExpr],
+) -> Result<Vec<Option<&'a ColumnData>>> {
+    aggs.iter()
+        .map(|a| {
+            let Some(name) = a.column.as_deref() else {
+                return Ok(None);
+            };
+            let col = segment.column(name)?;
+            if !col.forward.is_single_value() {
+                return Err(multi_value_aggregation(name));
+            }
+            Ok(Some(col))
+        })
+        .collect()
 }
 
 /// Root profile node for one segment execution.
@@ -740,29 +776,26 @@ mod tests {
         }
     }
 
-    /// The packed-key batch kernel and the row path agree on results and
-    /// stats for an SV group-by (where the batch layout actually engages).
+    /// The batch kernels and the row path agree on results and stats for
+    /// SV aggregations (where the batch kernels actually engage),
+    /// DISTINCTCOUNT and string-column inputs (which contribute nothing
+    /// to numeric aggregates) included.
     #[test]
-    fn sv_group_by_batch_matches_row_path() {
+    fn sv_aggregations_batch_matches_row_path() {
         let handle = mv_handle();
-        let pql = "SELECT SUM(m), COUNT(*) FROM t GROUP BY country";
-        let b = run(&handle, pql, true);
-        let r = run(&handle, pql, false);
-        match (&b.payload, &r.payload) {
-            (ResultPayload::GroupBy(bg), ResultPayload::GroupBy(rg)) => {
-                assert_eq!(bg.len(), rg.len());
-                for (k, states) in bg {
-                    let other = rg.get(k).expect("group missing from row path");
-                    for (s, o) in states.iter().zip(other) {
-                        assert_eq!(s.finalize_f64(), o.finalize_f64());
-                    }
-                }
-            }
-            other => panic!("unexpected payloads: {other:?}"),
+        for pql in [
+            "SELECT SUM(m), COUNT(*), DISTINCTCOUNT(m) FROM t GROUP BY country",
+            "SELECT COUNT(country), SUM(country), MAX(m), DISTINCTCOUNT(country) FROM t \
+             GROUP BY m",
+            "SELECT COUNT(country), SUM(country), AVG(m), DISTINCTCOUNT(country) FROM t",
+        ] {
+            let b = run(&handle, pql, true);
+            let r = run(&handle, pql, false);
+            assert_eq!(b.payload, r.payload, "{pql}");
+            assert_eq!(
+                b.stats.num_entries_scanned_post_filter, r.stats.num_entries_scanned_post_filter,
+                "{pql}"
+            );
         }
-        assert_eq!(
-            b.stats.num_entries_scanned_post_filter,
-            r.stats.num_entries_scanned_post_filter
-        );
     }
 }

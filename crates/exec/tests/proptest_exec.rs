@@ -1,16 +1,24 @@
 //! End-to-end per-segment execution properties: results must be identical
 //! regardless of which indexes the segment has (no index / inverted /
 //! sorted / star-tree), and must match a brute-force evaluator.
+//!
+//! Besides the low-cardinality columns (k, c, m) the rows carry `d`, a
+//! Double metric with nearly one distinct value per row, so the
+//! aggregation kernels see dictionaries as large as the segment. The
+//! generated filters select nothing, a few docs, or most of the segment
+//! relative to that dictionary — both sides of a group's DISTINCTCOUNT
+//! list/bitset switch — and the group keys span from a few bits (a
+//! key-indexed table) to more than 12 bits (hashed).
 
 use pinot_common::config::StarTreeConfig;
 use pinot_common::{DataType, FieldSpec, Record, Schema, Value};
 use pinot_exec::segment_exec::{execute_on_segment, ResultPayload, SegmentHandle};
-use pinot_pql::parse;
+use pinot_pql::{parse, AggFunction};
 use pinot_segment::builder::{BuilderConfig, SegmentBuilder};
 use pinot_segment::ImmutableSegment;
 use pinot_startree::build_star_tree;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
@@ -18,18 +26,30 @@ struct Row {
     k: i64,
     c: &'static str,
     m: i64,
+    d: f64,
 }
 
 fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
-    prop::collection::vec(
-        (
-            0i64..8,
-            prop::sample::select(vec!["us", "de", "fr", "jp"]),
-            -50i64..50,
-        )
-            .prop_map(|(k, c, m)| Row { k, c, m }),
-        1..150,
+    let row = (
+        0i64..8,
+        prop::sample::select(vec!["us", "de", "fr", "jp"]),
+        -50i64..50,
+        // Multiples of 1/8 well inside f64's exact range: sums are exact
+        // in any order, so star-tree and brute force agree bit for bit.
+        -4_000_000i64..4_000_000,
     )
+        .prop_map(|(k, c, m, d)| Row {
+            k,
+            c,
+            m,
+            d: d as f64 / 8.0,
+        });
+    // Small segments, and segments whose `d` dictionary is large enough
+    // for a few-doc selection to stay a sorted id list.
+    prop_oneof![
+        prop::collection::vec(row.clone(), 1..150),
+        prop::collection::vec(row, 1500..3000),
+    ]
 }
 
 fn build(rows: &[Row], variant: u8) -> SegmentHandle {
@@ -39,6 +59,7 @@ fn build(rows: &[Row], variant: u8) -> SegmentHandle {
             FieldSpec::dimension("k", DataType::Long),
             FieldSpec::dimension("c", DataType::String),
             FieldSpec::metric("m", DataType::Long),
+            FieldSpec::metric("d", DataType::Double),
         ],
     )
     .unwrap();
@@ -54,6 +75,7 @@ fn build(rows: &[Row], variant: u8) -> SegmentHandle {
             Value::Long(r.k),
             Value::from(r.c),
             Value::Long(r.m),
+            Value::Double(r.d),
         ]))
         .unwrap();
     }
@@ -64,7 +86,7 @@ fn build(rows: &[Row], variant: u8) -> SegmentHandle {
             &seg,
             &StarTreeConfig {
                 dimensions: vec!["k".into(), "c".into()],
-                metrics: vec!["m".into()],
+                metrics: vec!["m".into(), "d".into()],
                 max_leaf_records: 2,
                 skip_star_dimensions: vec![],
             },
@@ -75,20 +97,56 @@ fn build(rows: &[Row], variant: u8) -> SegmentHandle {
     handle
 }
 
-/// Queries whose filters/groups are on (k, c) with aggregations on m — the
-/// shapes all four variants including star-tree can run.
+/// A filter selecting nothing, a few docs next to `d`'s dictionary, a
+/// slice, or everything.
+fn filter_strategy() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        Just(" WHERE k > 100".to_string()),
+        (0i64..10).prop_map(|k| format!(" WHERE k = {k}")),
+        (-500_000i64..500_000, 0i64..2_000)
+            .prop_map(|(lo, w)| format!(" WHERE d BETWEEN {lo} AND {}", lo + w)),
+        (-500_000i64..500_000).prop_map(|lo| format!(" WHERE d BETWEEN {lo} AND {}", lo + 200_000)),
+        (0i64..8, -50i64..50).prop_map(|(k, m)| format!(" WHERE k = {k} AND m = {m}")),
+    ]
+}
+
+/// Queries whose filters/groups are on (k, c) with aggregations on m and
+/// d — the shapes all four variants including star-tree can run — plus
+/// DISTINCTCOUNT and `d` filters/groups, which take the raw path.
 fn query_strategy() -> impl Strategy<Value = String> {
     prop_oneof![
-        Just("SELECT COUNT(*), SUM(m), MIN(m), MAX(m), AVG(m) FROM t".to_string()),
-        (0i64..8).prop_map(|k| format!("SELECT SUM(m), COUNT(*) FROM t WHERE k = {k}")),
-        (0i64..8, 0i64..8)
+        1 => Just("SELECT COUNT(*), SUM(m), MIN(m), MAX(m), AVG(m) FROM t".to_string()),
+        1 => (0i64..8).prop_map(|k| format!("SELECT SUM(m), COUNT(*) FROM t WHERE k = {k}")),
+        1 => (0i64..8, 0i64..8)
             .prop_map(|(a, b)| format!("SELECT SUM(m) FROM t WHERE k = {a} OR k = {b}")),
-        (0i64..8)
+        1 => (0i64..8)
             .prop_map(|k| format!("SELECT SUM(m), COUNT(*) FROM t WHERE k >= {k} AND c = 'us'")),
-        Just("SELECT SUM(m) FROM t WHERE c IN ('us', 'de') GROUP BY k TOP 100".to_string()),
-        Just("SELECT COUNT(*) FROM t GROUP BY c TOP 100".to_string()),
-        (0i64..8).prop_map(|k| format!(
+        1 => Just("SELECT SUM(m) FROM t WHERE c IN ('us', 'de') GROUP BY k TOP 100".to_string()),
+        1 => Just("SELECT COUNT(*) FROM t GROUP BY c TOP 100".to_string()),
+        1 => (0i64..8).prop_map(|k| format!(
             "SELECT COUNT(*), SUM(m) FROM t WHERE k BETWEEN 2 AND {k} GROUP BY c TOP 100"
+        )),
+        1 => (0i64..8).prop_map(|k| format!(
+            "SELECT SUM(d), MIN(d), MAX(d), AVG(d) FROM t WHERE k <= {k} GROUP BY c TOP 100"
+        )),
+        3 => filter_strategy().prop_map(|f| format!(
+            "SELECT DISTINCTCOUNT(d), DISTINCTCOUNT(c), SUM(d), COUNT(*) FROM t{f}"
+        )),
+        3 => filter_strategy().prop_map(|f| format!(
+            "SELECT DISTINCTCOUNT(m), DISTINCTCOUNT(k), MAX(d) FROM t{f}"
+        )),
+        // Key-indexed: 2 to 5 key bits.
+        3 => filter_strategy().prop_map(|f| format!(
+            "SELECT DISTINCTCOUNT(d), AVG(d), COUNT(*) FROM t{f} GROUP BY c TOP 100"
+        )),
+        3 => filter_strategy().prop_map(|f| format!(
+            "SELECT DISTINCTCOUNT(m), SUM(d), DISTINCTCOUNT(d) FROM t{f} GROUP BY k, c TOP 100"
+        )),
+        // Hashed: `d` alone needs 8-12 key bits, so (d, m, k) needs more
+        // than 12.
+        3 => filter_strategy().prop_map(|f| format!(
+            "SELECT COUNT(*), SUM(m), DISTINCTCOUNT(c) FROM t{f} GROUP BY d, m, k TOP 10000"
         )),
     ]
 }
@@ -103,14 +161,7 @@ fn brute_force(rows: &[Row], pql: &str) -> (HashMap<String, Vec<f64>>, Vec<Strin
     };
     fn eval_pred(p: &pinot_pql::Predicate, r: &Row) -> bool {
         use pinot_pql::{CmpOp, Predicate};
-        let field = |name: &str| -> Value {
-            match name {
-                "k" => Value::Long(r.k),
-                "c" => Value::from(r.c),
-                "m" => Value::Long(r.m),
-                _ => Value::Null,
-            }
-        };
+        let field = |name: &str| field_of(r, name);
         match p {
             Predicate::And(ps) => ps.iter().all(|p| eval_pred(p, r)),
             Predicate::Or(ps) => ps.iter().any(|p| eval_pred(p, r)),
@@ -142,67 +193,66 @@ fn brute_force(rows: &[Row], pql: &str) -> (HashMap<String, Vec<f64>>, Vec<Strin
     }
 
     // Aggregate per group (empty key when no GROUP BY).
-    let mut out: HashMap<String, Vec<f64>> = HashMap::new();
+    #[derive(Default)]
+    struct Acc {
+        count: f64,
+        sum: f64,
+        min: Option<f64>,
+        max: Option<f64>,
+        distinct: HashSet<String>,
+    }
     let aggs = q.aggregations().to_vec();
+    let mut groups: HashMap<String, Vec<Acc>> = HashMap::new();
     for r in rows.iter().filter(|r| matches(r)) {
         let key = q
             .group_by
             .iter()
-            .map(|g| match g.as_str() {
-                "k" => r.k.to_string(),
-                "c" => r.c.to_string(),
-                other => panic!("{other}"),
-            })
+            .map(|g| field_of(r, g).to_string())
             .collect::<Vec<_>>()
             .join("|");
-        let entry = out.entry(key).or_insert_with(|| {
-            aggs.iter()
-                .map(|a| match a.function {
-                    pinot_pql::AggFunction::Min => f64::INFINITY,
-                    pinot_pql::AggFunction::Max => f64::NEG_INFINITY,
-                    _ => 0.0,
-                })
-                .collect()
-        });
-        for (i, a) in aggs.iter().enumerate() {
-            let x = r.m as f64;
-            match a.function {
-                pinot_pql::AggFunction::Count => entry[i] += 1.0,
-                pinot_pql::AggFunction::Sum => entry[i] += x,
-                pinot_pql::AggFunction::Min => entry[i] = entry[i].min(x),
-                pinot_pql::AggFunction::Max => entry[i] = entry[i].max(x),
-                pinot_pql::AggFunction::Avg => entry[i] += x, // divide later
-                pinot_pql::AggFunction::DistinctCount => unreachable!(),
-            }
+        let accs = groups
+            .entry(key)
+            .or_insert_with(|| aggs.iter().map(|_| Acc::default()).collect());
+        for (acc, a) in accs.iter_mut().zip(&aggs) {
+            let v = a.column.as_deref().map(|c| field_of(r, c));
+            let x = v.as_ref().and_then(Value::as_f64).unwrap_or(0.0);
+            acc.count += 1.0;
+            acc.sum += x;
+            acc.min = Some(acc.min.map_or(x, |m| m.min(x)));
+            acc.max = Some(acc.max.map_or(x, |m| m.max(x)));
+            acc.distinct
+                .insert(v.map_or_else(String::new, |v| v.to_string()));
         }
     }
-    // Fix up averages.
-    let counts: HashMap<String, f64> = rows
-        .iter()
-        .filter(|r| matches(r))
-        .map(|r| {
-            q.group_by
+    let out = groups
+        .into_iter()
+        .map(|(key, accs)| {
+            let vals = accs
                 .iter()
-                .map(|g| match g.as_str() {
-                    "k" => r.k.to_string(),
-                    "c" => r.c.to_string(),
-                    _ => unreachable!(),
+                .zip(&aggs)
+                .map(|(acc, a)| match a.function {
+                    AggFunction::Count => acc.count,
+                    AggFunction::Sum => acc.sum,
+                    AggFunction::Min => acc.min.unwrap(),
+                    AggFunction::Max => acc.max.unwrap(),
+                    AggFunction::Avg => acc.sum / acc.count,
+                    AggFunction::DistinctCount => acc.distinct.len() as f64,
                 })
-                .collect::<Vec<_>>()
-                .join("|")
+                .collect();
+            (key, vals)
         })
-        .fold(HashMap::new(), |mut m, k| {
-            *m.entry(k).or_insert(0.0) += 1.0;
-            m
-        });
-    for (k, v) in out.iter_mut() {
-        for (i, a) in aggs.iter().enumerate() {
-            if a.function == pinot_pql::AggFunction::Avg {
-                v[i] /= counts[k];
-            }
-        }
-    }
+        .collect();
     (out, q.group_by.clone())
+}
+
+fn field_of(r: &Row, name: &str) -> Value {
+    match name {
+        "k" => Value::Long(r.k),
+        "c" => Value::from(r.c),
+        "m" => Value::Long(r.m),
+        "d" => Value::Double(r.d),
+        other => panic!("unknown column {other}"),
+    }
 }
 
 fn result_to_map(handle: &SegmentHandle, pql: &str) -> HashMap<String, Vec<f64>> {
@@ -247,7 +297,7 @@ fn result_to_map(handle: &SegmentHandle, pql: &str) -> HashMap<String, Vec<f64>>
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn all_variants_agree_with_brute_force(rows in rows_strategy(), pql in query_strategy()) {
@@ -264,8 +314,9 @@ proptest! {
                     let q = parse(&pql).unwrap();
                     for (i, a) in q.aggregations().iter().enumerate() {
                         match a.function {
-                            pinot_pql::AggFunction::Count => prop_assert_eq!(vals[i], 0.0),
-                            pinot_pql::AggFunction::Sum => prop_assert_eq!(vals[i], 0.0),
+                            AggFunction::Count => prop_assert_eq!(vals[i], 0.0),
+                            AggFunction::Sum => prop_assert_eq!(vals[i], 0.0),
+                            AggFunction::DistinctCount => prop_assert_eq!(vals[i], 0.0),
                             _ => {}
                         }
                     }

@@ -74,6 +74,84 @@ fn multi_value_columns_end_to_end() {
     assert_eq!(resp.result.single_aggregate(), Some(&Value::Long(1)));
 }
 
+/// Aggregating a multi-value column is rejected before any segment is
+/// touched, with an error that names the column, instead of panicking a
+/// server task — whether or not the filter leaves a segment to scan.
+#[test]
+fn aggregating_a_multi_value_column_is_a_clean_error() {
+    let cluster = PinotCluster::start(ClusterConfig::default().with_servers(2)).unwrap();
+    let schema = |name: &str| {
+        Schema::new(
+            name,
+            vec![
+                FieldSpec::dimension("author", DataType::Long),
+                FieldSpec::multi_value_dimension("tags", DataType::String),
+            ],
+        )
+        .unwrap()
+    };
+    cluster
+        .create_table(TableConfig::offline("posts"), schema("posts"))
+        .unwrap();
+    // A table with no segments at all.
+    cluster
+        .create_table(TableConfig::offline("drafts"), schema("drafts"))
+        .unwrap();
+    let rows = (0..4)
+        .map(|i| {
+            Record::new(vec![
+                Value::Long(i),
+                Value::StringArray(vec!["rust".into(), format!("t{i}")]),
+            ])
+        })
+        .collect();
+    cluster.upload_rows("posts", rows).unwrap();
+
+    for pql in [
+        "SELECT DISTINCTCOUNT(tags) FROM posts",
+        "SELECT DISTINCTCOUNT(tags) FROM posts GROUP BY author TOP 10",
+        "SELECT SUM(tags) FROM posts WHERE author > 0",
+        // Every segment pruned: still rejected, not an empty answer.
+        "SELECT SUM(tags) FROM posts WHERE author > 100",
+        "SELECT DISTINCTCOUNT(tags) FROM drafts",
+    ] {
+        let resp = cluster.query(pql);
+        assert!(!resp.exceptions.is_empty(), "{pql}: expected an error");
+        for e in &resp.exceptions {
+            assert!(!e.contains("panicked"), "{pql}: {e}");
+            assert!(e.contains("multi-value column 'tags'"), "{pql}: {e}");
+        }
+    }
+    // A multi-value column added by schema evolution is rejected too.
+    cluster
+        .leader_controller()
+        .unwrap()
+        .add_column(
+            "posts",
+            FieldSpec::multi_value_dimension("labels", DataType::String),
+        )
+        .unwrap();
+    let resp = cluster.query("SELECT DISTINCTCOUNT(labels) FROM posts WHERE author > 100");
+    assert!(
+        resp.exceptions
+            .iter()
+            .any(|e| e.contains("multi-value column 'labels'")),
+        "{:?}",
+        resp.exceptions
+    );
+    // EXPLAIN tells the same story as execution.
+    let err = cluster
+        .explain("EXPLAIN PLAN FOR SELECT SUM(tags) FROM posts")
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("multi-value column 'tags'"),
+        "{err}"
+    );
+    // Grouping by the multi-value column still works.
+    let resp = cluster.query("SELECT COUNT(*) FROM posts GROUP BY tags TOP 10");
+    assert!(resp.exceptions.is_empty(), "{:?}", resp.exceptions);
+}
+
 #[test]
 fn distinct_count_is_exact_across_segments_and_servers() {
     let cluster = PinotCluster::start(ClusterConfig::default().with_servers(3)).unwrap();

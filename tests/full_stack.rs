@@ -232,3 +232,35 @@ fn query_availability_through_server_churn() {
         assert_eq!(count(&cluster, "SELECT COUNT(*) FROM events"), 300);
     }
 }
+
+/// Segment pushes running at the same time must all become queryable.
+/// Each push edits the table's ideal state; an edit made from a stale
+/// copy would drop another push's segment from routing while its blob
+/// stays stored.
+#[test]
+fn concurrent_pushes_all_become_queryable() {
+    const THREADS: i64 = 8;
+    const PUSHES: i64 = 8;
+    const ROWS: i64 = 5;
+    let cluster = PinotCluster::start(ClusterConfig::default().with_servers(3)).unwrap();
+    cluster
+        .create_table(TableConfig::offline("events"), schema())
+        .unwrap();
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let cluster = &cluster;
+            s.spawn(move || {
+                for p in 0..PUSHES {
+                    let rows = (0..ROWS)
+                        .map(|i| row((t * PUSHES + p) * ROWS + i, "view", 1, 17_000))
+                        .collect();
+                    cluster.upload_rows("events", rows).unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(
+        count(&cluster, "SELECT COUNT(*) FROM events"),
+        THREADS * PUSHES * ROWS
+    );
+}
