@@ -71,7 +71,7 @@ cargo test -p pinot-exec --test proptest_morsel
 echo "== profile-merge proptests (fold algebra, aggregation losslessness) =="
 cargo test -p pinot-exec --test profile_prop
 
-echo "== planner proptests (estimator bounds, monotonicity, path ≡ scan oracle) =="
+echo "== planner proptests (estimator bounds, monotonicity, every path ≡ brute-force oracle) =="
 cargo test -p pinot-exec --test proptest_planner
 
 echo "== profiling plane (stats reconciliation, query ids, slow-query log) =="
@@ -82,6 +82,9 @@ cargo test -p pinot-core --test explain_golden
 
 echo "== metric-name registry vs DESIGN.md catalogue =="
 cargo test -p pinot-core --test metrics_registry
+
+echo "== kernels bench acceptance (batched filter-scan and ungrouped SUM ≥2x the row path) =="
+cargo run --release -q -p pinot-bench --bin kernels
 
 echo "== prune bench acceptance (≥5x fewer segments, ≥2x p50) =="
 cargo run --release -q -p pinot-bench --bin prune

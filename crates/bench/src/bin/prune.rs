@@ -9,8 +9,10 @@
 //! every segment is planned and scanned. The bench demands a ≥5×
 //! reduction in segments planned and a ≥2× p50 latency win, and persists
 //! `BENCH_prune.json` at the repo root so the trajectory is tracked
-//! across PRs.
+//! across PRs, and rewrites its table in EXPERIMENTS.md from the same
+//! run.
 
+use pinot_bench::doc_table;
 use pinot_common::config::TableConfig;
 use pinot_common::query::QueryResponse;
 use pinot_common::{DataType, FieldSpec, Record, Schema, TimeUnit, Value};
@@ -163,6 +165,22 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prune.json");
     std::fs::write(path, body).expect("write BENCH_prune.json");
     println!("# wrote {path}");
+    doc_table::write(
+        "prune",
+        &format!(
+            "| metric | pruned | unpruned | ratio |\n|---|---|---|---|\n\
+             | segments planned | {on_processed} | {off_processed} | **{segment_reduction:.1}× fewer** |\n\
+             | p50 latency (µs) | {} | {} | **{p50_speedup:.2}× faster** |\n\
+             | docs scanned | {on_scanned} | {off_scanned} | {} |\n",
+            doc_table::figure(on_p50),
+            doc_table::figure(off_p50),
+            if on_scanned == off_scanned {
+                "equal — pruning is invisible in results"
+            } else {
+                "differ"
+            }
+        ),
+    );
 
     // Acceptance floors (ISSUE 5): pruning must plan ≥5× fewer segments
     // and halve p50 latency on the selective workload.

@@ -18,6 +18,7 @@
 //! the paper's absolute numbers came from a 9-node cluster, so shapes, not
 //! absolute latencies, are the reproduction target — see EXPERIMENTS.md).
 
+pub mod doc_table;
 pub mod harness;
 pub mod setup;
 

@@ -124,9 +124,7 @@ impl Container {
                 if a.len() + values.len() > ARRAY_MAX {
                     let mut bm = self.to_bitmap();
                     if let Container::Bitmap { words, len } = &mut bm {
-                        for &v in values {
-                            words[(v >> 6) as usize & 0x3FF] |= 1u64 << (v & 63);
-                        }
+                        set_ascending(words, values);
                         *len += values.len() as u32;
                     }
                     *self = bm;
@@ -135,9 +133,7 @@ impl Container {
                 }
             }
             Container::Bitmap { words, len } => {
-                for &v in values {
-                    words[(v >> 6) as usize & 0x3FF] |= 1u64 << (v & 63);
-                }
+                set_ascending(words, values);
                 *len += values.len() as u32;
             }
             Container::Run(_) => {
@@ -543,6 +539,28 @@ impl Iterator for BitmapIter<'_> {
         self.cur &= self.cur - 1;
         Some((self.word_idx * 64) as u16 + bit as u16)
     }
+}
+
+/// Set the low 16 bits of ascending `values` in a bitmap container's
+/// words. Bits gather in a register while consecutive values share a
+/// word, so a dense run costs one store per word rather than a
+/// load-or-store chain through memory per value.
+fn set_ascending(words: &mut [u64; WORDS], values: &[u32]) {
+    let Some(&first) = values.first() else {
+        return;
+    };
+    let mut word = (first >> 6) as usize & 0x3FF;
+    let mut bits = 0u64;
+    for &v in values {
+        let w = (v >> 6) as usize & 0x3FF;
+        if w != word {
+            words[word] |= bits;
+            word = w;
+            bits = 0;
+        }
+        bits |= 1u64 << (v & 63);
+    }
+    words[word] |= bits;
 }
 
 #[cfg(test)]

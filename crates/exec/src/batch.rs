@@ -2,7 +2,7 @@
 //!
 //! The row path materializes an owned `Value` per doc per column; these
 //! kernels instead decode [`BLOCK_SIZE`]-doc blocks of dictionary ids
-//! ([`ForwardIndex::read_block`]) and stay in id space until
+//! ([`DocBlock::decode`]) and stay in id space until
 //! finalization, paying one dictionary lookup per *distinct id* instead
 //! of one per doc. Their cost follows the selected docs, not the
 //! dictionaries: the only per-query tables sized by a column's
@@ -27,8 +27,6 @@
 //! Multi-value group columns and composite keys wider than 64 bits fall
 //! back to the row path, and `PINOT_EXEC_BATCH=0` forces it globally —
 //! the differential suite asserts the two engines are byte-identical.
-//!
-//! [`ForwardIndex::read_block`]: pinot_segment::forward::ForwardIndex::read_block
 
 use crate::aggstate::AggState;
 use crate::key::{GroupKey, GroupValue};
@@ -154,19 +152,6 @@ impl KernelStats {
                 elapsed_ns as f64 / self.docs.max(1) as f64,
             );
         }
-    }
-}
-
-/// Decode one block of dict ids for a single-value column into `scratch`.
-#[inline]
-pub(crate) fn decode_block(col: &ColumnData, block: &DocBlock<'_>, scratch: &mut Vec<DictId>) {
-    scratch.clear();
-    match block {
-        DocBlock::Run(s, e) => {
-            scratch.resize((*e - *s) as usize, 0);
-            col.forward.read_block(*s, scratch);
-        }
-        DocBlock::Ids(ids) => scratch.extend(ids.iter().map(|&d| col.forward.get(d))),
     }
 }
 
@@ -340,6 +325,8 @@ fn accumulate(state: &mut AggState, values: impl ExactSizeIterator<Item = f64>) 
 /// once per block.
 struct UniqCol<'a> {
     col: &'a ColumnData,
+    /// Decode scratch ([`DocSelection::block_scratch`] ids); the current
+    /// block's ids are its first `block.len()`.
     ids: Vec<DictId>,
     /// The block's values for grouped numeric aggregates; `None` when no
     /// numeric aggregate reads the column or it holds strings.
@@ -362,7 +349,12 @@ enum AggSource {
 /// its (aggregation, unique column) pair.
 type Sources<'a> = (Vec<UniqCol<'a>>, Vec<AggSource>, Vec<(usize, usize)>);
 
-fn resolve_sources<'a>(aggs: &[AggregateExpr], cols: &[Option<&'a ColumnData>]) -> Sources<'a> {
+/// `scratch` is the decode scratch per column, in ids.
+fn resolve_sources<'a>(
+    aggs: &[AggregateExpr],
+    cols: &[Option<&'a ColumnData>],
+    scratch: usize,
+) -> Sources<'a> {
     let mut uniq: Vec<UniqCol<'a>> = Vec::new();
     let mut sources = Vec::with_capacity(cols.len());
     let mut sets = Vec::new();
@@ -377,7 +369,7 @@ fn resolve_sources<'a>(aggs: &[AggregateExpr], cols: &[Option<&'a ColumnData>]) 
             .unwrap_or_else(|| {
                 uniq.push(UniqCol {
                     col,
-                    ids: Vec::new(),
+                    ids: vec![0; scratch],
                     values: None,
                 });
                 uniq.len() - 1
@@ -473,7 +465,8 @@ fn aggregate_blocks(
     stats: &mut ExecutionStats,
     kstats: &mut KernelStats,
 ) -> Groups {
-    let (mut uniq, sources, set_specs) = resolve_sources(aggs, agg_cols);
+    let scratch = selection.block_scratch();
+    let (mut uniq, sources, set_specs) = resolve_sources(aggs, agg_cols, scratch);
     let set_cards: Vec<usize> = set_specs
         .iter()
         .map(|&(_, slot)| uniq[slot].col.dictionary.cardinality())
@@ -490,7 +483,7 @@ fn aggregate_blocks(
         // its id sets may see every selected doc.
         groups.push(0, aggs, set_cards.iter().map(|&card| IdSet::dense(card)));
     }
-    let mut group_ids: Vec<Vec<DictId>> = vec![Vec::new(); group_cols.len()];
+    let mut group_ids: Vec<Vec<DictId>> = vec![vec![0; scratch]; group_cols.len()];
     let mut keys: Vec<u64> = Vec::new();
     let mut rows: Vec<u32> = Vec::new();
     let mut docs = 0u64;
@@ -499,7 +492,7 @@ fn aggregate_blocks(
         let len = block.len();
         docs += len as u64;
         for u in &mut uniq {
-            decode_block(u.col, &block, &mut u.ids);
+            block.decode(&u.col.forward, &mut u.ids);
         }
         if group_cols.is_empty() {
             for (a, source) in sources.iter().enumerate() {
@@ -507,10 +500,10 @@ fn aggregate_blocks(
                 match *source {
                     AggSource::NoColumn => accept_zero_repeated(state, len as u64),
                     AggSource::Numeric(slot) => {
-                        accumulate_block(state, &uniq[slot].col.dictionary, &uniq[slot].ids)
+                        accumulate_block(state, &uniq[slot].col.dictionary, &uniq[slot].ids[..len])
                     }
                     AggSource::Distinct { slot, set } => {
-                        groups.sets[set].extend(&uniq[slot].ids, set_cards[set])
+                        groups.sets[set].extend(&uniq[slot].ids[..len], set_cards[set])
                     }
                 }
             }
@@ -518,11 +511,11 @@ fn aggregate_blocks(
         }
         for u in &mut uniq {
             if let Some(values) = &mut u.values {
-                numeric_block(&u.col.dictionary, &u.ids, values);
+                numeric_block(&u.col.dictionary, &u.ids[..len], values);
             }
         }
         for (col, ids) in group_cols.iter().zip(&mut group_ids) {
-            decode_block(col, &block, ids);
+            block.decode(&col.forward, ids);
         }
         keys.clear();
         keys.resize(len, 0);
@@ -677,14 +670,14 @@ pub(crate) fn select_rows_batch(
     kstats: &mut KernelStats,
 ) -> Vec<Vec<Value>> {
     let mut rows: Vec<Vec<Value>> = Vec::new();
-    let mut scratch: Vec<Vec<DictId>> = vec![Vec::new(); cols.len()];
+    let mut scratch: Vec<Vec<DictId>> = vec![vec![0; selection.block_scratch()]; cols.len()];
     selection.for_each_block(|block| {
         if rows.len() >= limit {
             return;
         }
         kstats.observe(&block);
         for (col, ids) in cols.iter().zip(&mut scratch) {
-            decode_block(col, &block, ids);
+            block.decode(&col.forward, ids);
         }
         let take = (limit - rows.len()).min(block.len());
         for row in 0..take {

@@ -7,13 +7,14 @@
 
 use crate::cost::{self, AccessPath, PlannerMode};
 use crate::segment_exec::SegmentHandle;
-use crate::selection::{DocSelection, IdMatcher, MatchKind};
+use crate::selection::{DocBlock, DocSelection, IdMatcher, MatchKind, BLOCK_SIZE};
 use pinot_bitmap::RoaringBitmap;
 use pinot_common::query::ExecutionStats;
 use pinot_common::{Result, Value};
 use pinot_obs::Obs;
 use pinot_pql::{AggFunction, CmpOp, Predicate, Query, SelectList};
-use pinot_segment::{DictId, ImmutableSegment};
+use pinot_segment::forward::ForwardIndex;
+use pinot_segment::{DictId, DocId, ImmutableSegment};
 use pinot_startree::DimFilter;
 use std::cell::RefCell;
 
@@ -58,11 +59,17 @@ pub fn plan_segment(handle: &SegmentHandle, query: &Query) -> PlanKind {
 }
 
 /// Rewrite away `Ne` and `NOT IN` so downstream code only sees positive
-/// leaves under explicit `Not` nodes.
+/// leaves under explicit `Not` nodes, and fold an `OR` whose branches are
+/// all `=`/`IN` on one column into one `IN` leaf: a single scan conjunct
+/// that runs within the running selection, instead of a subtree that
+/// scans the segment once per branch and unions.
 pub fn normalize_predicate(p: &Predicate) -> Predicate {
     match p {
         Predicate::And(ps) => Predicate::And(ps.iter().map(normalize_predicate).collect()),
-        Predicate::Or(ps) => Predicate::Or(ps.iter().map(normalize_predicate).collect()),
+        Predicate::Or(ps) => {
+            let ps: Vec<Predicate> = ps.iter().map(normalize_predicate).collect();
+            fold_same_column_or(&ps).unwrap_or(Predicate::Or(ps))
+        }
         Predicate::Not(inner) => Predicate::Not(Box::new(normalize_predicate(inner))),
         Predicate::Cmp {
             column,
@@ -84,6 +91,39 @@ pub fn normalize_predicate(p: &Predicate) -> Predicate {
         })),
         other => other.clone(),
     }
+}
+
+/// `a = x OR a IN (y, z)` → `a IN (x, y, z)` when every (normalized)
+/// branch is an equality or positive `IN` on the same column; `None`
+/// otherwise. Both forms compile to the same dictionary ids, so the
+/// fold never changes which docs match.
+fn fold_same_column_or(branches: &[Predicate]) -> Option<Predicate> {
+    let mut column: Option<&String> = None;
+    let mut values = Vec::new();
+    for b in branches {
+        let (c, vs) = match b {
+            Predicate::Cmp {
+                column,
+                op: CmpOp::Eq,
+                value,
+            } => (column, std::slice::from_ref(value)),
+            Predicate::In {
+                column,
+                values,
+                negated: false,
+            } => (column, values.as_slice()),
+            _ => return None,
+        };
+        if *column.get_or_insert(c) != c {
+            return None;
+        }
+        values.extend_from_slice(vs);
+    }
+    Some(Predicate::In {
+        column: column?.clone(),
+        values,
+        negated: false,
+    })
 }
 
 /// Metadata-only plan: unfiltered, ungrouped COUNT(*)/MIN/MAX where the
@@ -488,16 +528,43 @@ const CLASS_SCAN: u8 = 3;
 /// fan-out gate sends to a scan correctly defers to the end, where the
 /// scan runs range-restricted to the surviving selection.
 fn conjunct_class(segment: &ImmutableSegment, pred: &Predicate, mode: PlannerMode) -> u8 {
+    conjunct_key(segment, pred, mode).0
+}
+
+/// Sort key of a conjunct: its class, then — for scan leaves only — the
+/// estimated selectivity [`cost::choose_path`] returns, so the scan that
+/// keeps the fewest docs runs first and every later scan reads only its
+/// survivors.
+fn conjunct_key(segment: &ImmutableSegment, pred: &Predicate, mode: PlannerMode) -> (u8, f64) {
     match pred {
         Predicate::Cmp { .. } | Predicate::In { .. } | Predicate::Between { .. } => {
-            match cost::choose_path(segment, pred, mode).0 {
-                AccessPath::Sorted => CLASS_SORTED,
-                AccessPath::Inverted => CLASS_INVERTED,
-                AccessPath::Scan => CLASS_SCAN,
+            match cost::choose_path(segment, pred, mode) {
+                (AccessPath::Sorted, _) => (CLASS_SORTED, 0.0),
+                (AccessPath::Inverted, _) => (CLASS_INVERTED, 0.0),
+                (AccessPath::Scan, est) => (CLASS_SCAN, est.selectivity),
             }
         }
-        _ => CLASS_SUBTREE,
+        _ => (CLASS_SUBTREE, 0.0),
     }
+}
+
+/// Conjuncts in execution order with their classes: sorted, inverted,
+/// subtrees, then scans most-selective first. The sort is stable, so
+/// ties keep query order.
+fn order_conjuncts<'p>(
+    segment: &ImmutableSegment,
+    conjuncts: &'p [Predicate],
+    mode: PlannerMode,
+) -> Vec<(u8, &'p Predicate)> {
+    let mut keyed: Vec<((u8, f64), &Predicate)> = conjuncts
+        .iter()
+        .map(|p| (conjunct_key(segment, p, mode), p))
+        .collect();
+    keyed.sort_by(|(a, _), (b, _)| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    keyed
+        .into_iter()
+        .map(|((class, _), p)| (class, p))
+        .collect()
 }
 
 /// One top-level conjunct as the planner will run it: its rendering, the
@@ -527,12 +594,7 @@ pub fn conjunct_order(
         Predicate::And(ps) => ps,
         p => vec![p],
     };
-    let mut keyed: Vec<(u8, &Predicate)> = conjuncts
-        .iter()
-        .map(|p| (conjunct_class(segment, p, mode), p))
-        .collect();
-    keyed.sort_by_key(|(class, _)| *class);
-    keyed
+    order_conjuncts(segment, &conjuncts, mode)
         .into_iter()
         .map(|(class, p)| {
             let (path, est) = if class == CLASS_SUBTREE {
@@ -596,11 +658,7 @@ fn eval_and(
     stats: &mut ExecutionStats,
     ctx: &FilterCtx<'_>,
 ) -> Result<DocSelection> {
-    let mut keyed: Vec<(u8, &Predicate)> = conjuncts
-        .iter()
-        .map(|p| (conjunct_class(segment, p, ctx.mode), p))
-        .collect();
-    keyed.sort_by_key(|(class, _)| *class);
+    let keyed = order_conjuncts(segment, conjuncts, ctx.mode);
 
     let mut sel = DocSelection::All(segment.num_docs());
     let mut i = 0;
@@ -796,14 +854,14 @@ fn eval_scan(
     within: Option<&DocSelection>,
     batch: bool,
 ) -> DocSelection {
-    let mut bm = pinot_bitmap::RoaringBitmap::new();
+    let mut bm = RoaringBitmap::new();
     stats.num_entries_scanned_in_filter += match within {
         Some(w) => w.count(),
         None => segment.num_docs() as u64,
     };
     if batch && col.forward.is_single_value() {
         // Batched scan: decode dict-id blocks off the forward index and
-        // match in id space — no per-doc virtual dispatch or bit math.
+        // match in id space — no per-doc dispatch or bit math.
         let all;
         let sel: &DocSelection = match within {
             Some(w) => w,
@@ -812,43 +870,21 @@ fn eval_scan(
                 &all
             }
         };
-        let mut ids: Vec<DictId> = Vec::with_capacity(crate::selection::BLOCK_SIZE);
-        let mut matched: Vec<u32> = vec![0; crate::selection::BLOCK_SIZE];
-        sel.for_each_block(|block| {
-            crate::batch::decode_block(col, &block, &mut ids);
-            // Branchless select: write the doc id unconditionally, bump
-            // the cursor only on match — no mispredicted branch at
-            // mid-selectivity — then bulk-append the matched prefix.
-            let mut m = 0usize;
-            match (&block, &matcher.kind) {
-                (crate::selection::DocBlock::Run(s, _), MatchKind::Range(lo, hi)) => {
-                    for (i, &id) in ids.iter().enumerate() {
-                        matched[m] = s + i as u32;
-                        m += (id >= *lo && id < *hi) as usize;
-                    }
-                }
-                (crate::selection::DocBlock::Run(s, _), MatchKind::Set(set)) => {
-                    for (i, &id) in ids.iter().enumerate() {
-                        matched[m] = s + i as u32;
-                        m += set.binary_search(&id).is_ok() as usize;
-                    }
-                }
-                (crate::selection::DocBlock::Ids(docs), MatchKind::Range(lo, hi)) => {
-                    for (i, &id) in ids.iter().enumerate() {
-                        matched[m] = docs[i];
-                        m += (id >= *lo && id < *hi) as usize;
-                    }
-                }
-                (crate::selection::DocBlock::Ids(docs), MatchKind::Set(set)) => {
-                    for (i, &id) in ids.iter().enumerate() {
-                        matched[m] = docs[i];
-                        m += set.binary_search(&id).is_ok() as usize;
-                    }
-                }
-                (_, MatchKind::Nothing) => {}
+        let forward = &col.forward;
+        match &matcher.kind {
+            MatchKind::Range(lo, hi) => {
+                let test = InRange {
+                    lo: *lo,
+                    width: hi - lo,
+                };
+                scan_blocks(sel, forward, test, &mut bm);
             }
-            bm.append_sorted(&matched[..m]);
-        });
+            MatchKind::Set(set) => match InWord::new(set) {
+                Some(test) => scan_blocks(sel, forward, test, &mut bm),
+                None => scan_blocks(sel, forward, InSorted(set), &mut bm),
+            },
+            MatchKind::Nothing => {}
+        }
     } else {
         match within {
             Some(w) => {
@@ -872,6 +908,128 @@ fn eval_scan(
     } else {
         DocSelection::Bitmap(bm)
     }
+}
+
+/// Run one scan leaf over `sel` block by block: decode the block's ids,
+/// select the docs whose id passes `test`, bulk-append them to `bm`. The
+/// decode and match buffers are reused across blocks, never cleared.
+fn scan_blocks<T: IdTest>(
+    sel: &DocSelection,
+    forward: &ForwardIndex,
+    test: T,
+    bm: &mut RoaringBitmap,
+) {
+    let mut ids: [DictId; BLOCK_SIZE] = [0; BLOCK_SIZE];
+    let mut matched: [DocId; BLOCK_SIZE] = [0; BLOCK_SIZE];
+    sel.for_each_block(|block| {
+        let ids = block.decode(forward, &mut ids);
+        let m = match block {
+            DocBlock::Run(start, _) => select_run(start, ids, test, &mut matched),
+            DocBlock::Ids(docs) => select_ids(docs, ids, test, &mut matched),
+        };
+        bm.append_sorted(&matched[..m]);
+    });
+}
+
+/// A scan leaf's per-id test, passed to the select kernels by value so
+/// its bounds stay in registers for the whole block.
+trait IdTest: Copy {
+    fn hit(self, id: DictId) -> bool;
+}
+
+/// Ids in `[lo, lo + width)`, tested with one unsigned compare: ids
+/// below `lo` wrap to large offsets.
+#[derive(Clone, Copy)]
+struct InRange {
+    lo: DictId,
+    width: DictId,
+}
+
+impl IdTest for InRange {
+    #[inline(always)]
+    fn hit(self, id: DictId) -> bool {
+        id.wrapping_sub(self.lo) < self.width
+    }
+}
+
+/// An IN set within 64 ids of its smallest member: one bitset word,
+/// held in a register.
+#[derive(Clone, Copy)]
+struct InWord {
+    lo: DictId,
+    word: u64,
+}
+
+impl InWord {
+    /// `None` when the sorted `set` spans 64 ids or more.
+    fn new(set: &[DictId]) -> Option<InWord> {
+        let (&lo, &hi) = (set.first()?, set.last()?);
+        (hi - lo < 64).then(|| InWord {
+            lo,
+            word: set.iter().fold(0, |w, &id| w | 1 << (id - lo)),
+        })
+    }
+}
+
+impl IdTest for InWord {
+    #[inline(always)]
+    fn hit(self, id: DictId) -> bool {
+        let off = id.wrapping_sub(self.lo);
+        (off < 64) & ((self.word >> (off % 64)) & 1 != 0)
+    }
+}
+
+/// An IN set spread over 64 ids or more: binary search of its sorted
+/// ids, so a leaf never builds a table sized by a large dictionary.
+#[derive(Clone, Copy)]
+struct InSorted<'a>(&'a [DictId]);
+
+impl IdTest for InSorted<'_> {
+    #[inline(always)]
+    fn hit(self, id: DictId) -> bool {
+        self.0.binary_search(&id).is_ok()
+    }
+}
+
+/// `BLOCK_SIZE` is a power of two; masking a match cursor with this
+/// proves it in bounds without changing it (see [`select_run`]).
+const CURSOR_MASK: usize = BLOCK_SIZE - 1;
+
+/// Branchless select over the contiguous docs `start..start + ids.len()`:
+/// write every doc, advance the cursor only on a hit, so mid-selectivity
+/// leaves pay no mispredicted branch. Returns the number of matches at
+/// the front of `out`. The cursor never passes the loop index, which
+/// stays below `BLOCK_SIZE`, so the mask never changes it.
+fn select_run<T: IdTest>(
+    start: DocId,
+    ids: &[DictId],
+    test: T,
+    out: &mut [DocId; BLOCK_SIZE],
+) -> usize {
+    assert!(ids.len() <= BLOCK_SIZE);
+    let mut m = 0;
+    for (doc, &id) in (start..).zip(ids) {
+        out[m & CURSOR_MASK] = doc;
+        m += usize::from(test.hit(id));
+    }
+    m
+}
+
+/// [`select_run`] over an explicit ascending doc list, `ids[i]` being
+/// the id of `docs[i]`.
+fn select_ids<T: IdTest>(
+    docs: &[DocId],
+    ids: &[DictId],
+    test: T,
+    out: &mut [DocId; BLOCK_SIZE],
+) -> usize {
+    assert!(ids.len() <= BLOCK_SIZE);
+    let mut m = 0;
+    for (&doc, &id) in docs.iter().zip(ids) {
+        out[m & CURSOR_MASK] = doc;
+        m += usize::from(test.hit(id));
+    }
+    m
 }
 
 #[cfg(test)]
@@ -932,6 +1090,104 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn same_column_or_folds_into_in() {
+        let folded = |q: &str| normalize_predicate(&filter_of(q));
+        let in_k = |vs: &[i64]| Predicate::In {
+            column: "k".into(),
+            values: vs.iter().map(|&v| Value::Long(v)).collect(),
+            negated: false,
+        };
+        assert_eq!(
+            folded("SELECT COUNT(*) FROM t WHERE k = 1 OR k IN (2, 3)"),
+            in_k(&[1, 2, 3])
+        );
+        // Nested ORs fold bottom-up.
+        assert_eq!(
+            folded("SELECT COUNT(*) FROM t WHERE k = 1 OR (k = 2 OR k = 3)"),
+            in_k(&[1, 2, 3])
+        );
+        // Inside a conjunction the fold yields a plain conjunct.
+        match folded("SELECT COUNT(*) FROM t WHERE m > 5 AND (k = 1 OR k = 4)") {
+            Predicate::And(ps) => assert_eq!(ps[1], in_k(&[1, 4])),
+            other => panic!("{other:?}"),
+        }
+        // Other columns, negations and ranges keep the OR.
+        for q in [
+            "SELECT COUNT(*) FROM t WHERE k = 1 OR c = 'c1'",
+            "SELECT COUNT(*) FROM t WHERE k = 1 OR k != 2",
+            "SELECT COUNT(*) FROM t WHERE k = 1 OR k NOT IN (2)",
+            "SELECT COUNT(*) FROM t WHERE k = 1 OR k > 7",
+        ] {
+            assert!(matches!(folded(q), Predicate::Or(_)), "{q}");
+        }
+    }
+
+    #[test]
+    fn scan_conjuncts_run_most_selective_first() {
+        let seg = segment(false, false);
+        // c = 'c1' keeps ~1/4 of the docs, k = 3 ~1/10: k scans first.
+        let plan = conjunct_order(
+            &seg,
+            Some(&filter_of(
+                "SELECT COUNT(*) FROM t WHERE c = 'c1' AND k = 3",
+            )),
+            PlannerMode::Auto,
+        );
+        let order: Vec<&str> = plan.iter().map(|c| c.predicate.as_str()).collect();
+        assert_eq!(order, ["k = 3", "c = c1"]);
+        assert!(plan[0].est_selectivity < plan[1].est_selectivity);
+        // Ties keep query order.
+        let plan = conjunct_order(
+            &seg,
+            Some(&filter_of("SELECT COUNT(*) FROM t WHERE k = 3 AND k = 4")),
+            PlannerMode::Auto,
+        );
+        let order: Vec<&str> = plan.iter().map(|c| c.predicate.as_str()).collect();
+        assert_eq!(order, ["k = 3", "k = 4"]);
+    }
+
+    #[test]
+    fn set_tests_agree_with_membership() {
+        fn check<T: IdTest>(test: T, set: &[DictId]) {
+            let hi = *set.last().unwrap();
+            for id in (0..hi + 130).chain([DictId::MAX - 1, DictId::MAX]) {
+                assert_eq!(test.hit(id), set.binary_search(&id).is_ok(), "id {id}");
+            }
+        }
+        for set in [vec![5, 6, 9, 68], vec![0], (100..164).collect()] {
+            check(InWord::new(&set).expect("spans under 64 ids"), &set);
+        }
+        for set in [vec![5, 69], vec![3, 64, 65, 127, 128, 4000]] {
+            assert!(InWord::new(&set).is_none());
+            check(InSorted(&set), &set);
+        }
+        check(InRange { lo: 3, width: 4 }, &[3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn select_kernels_keep_matching_docs_in_order() {
+        let ids: Vec<DictId> = (0..BLOCK_SIZE as DictId).map(|i| i % 7).collect();
+        let test = InRange { lo: 2, width: 2 };
+        let mut out = [0; BLOCK_SIZE];
+        let m = select_run(5000, &ids, test, &mut out);
+        let want: Vec<DocId> = (0..BLOCK_SIZE as DocId)
+            .filter(|&i| (2..4).contains(&(i % 7)))
+            .map(|i| 5000 + i)
+            .collect();
+        assert_eq!(&out[..m], want.as_slice());
+        let docs: Vec<DocId> = (0..BLOCK_SIZE as DocId).map(|i| 3 * i + 1).collect();
+        let m = select_ids(&docs, &ids, test, &mut out);
+        let want: Vec<DocId> = (0..BLOCK_SIZE)
+            .filter(|&i| (2..4).contains(&ids[i]))
+            .map(|i| docs[i])
+            .collect();
+        assert_eq!(&out[..m], want.as_slice());
+        // Every id a hit fills the whole block.
+        let all = InRange { lo: 0, width: 7 };
+        assert_eq!(select_run(0, &ids, all, &mut out), BLOCK_SIZE);
     }
 
     #[test]

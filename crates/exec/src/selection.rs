@@ -11,6 +11,7 @@ use pinot_bitmap::RoaringBitmap;
 use pinot_common::{PinotError, Result};
 use pinot_pql::{CmpOp, Predicate};
 use pinot_segment::column::ColumnData;
+use pinot_segment::forward::ForwardIndex;
 use pinot_segment::{DictId, DocId, ImmutableSegment};
 
 /// A leaf predicate compiled into dictionary-id space.
@@ -167,6 +168,22 @@ impl DocBlock<'_> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Decode this block's dict ids of a single-value column into the
+    /// front of `out` and return them — the one block decode every scan
+    /// and aggregation kernel shares. A run unpacks straight into `out`;
+    /// an id list gathers with one forward-index dispatch per block.
+    /// `out` is caller-owned scratch of at least `self.len()` ids (see
+    /// [`DocSelection::block_scratch`]), overwritten, never cleared.
+    #[inline]
+    pub(crate) fn decode<'o>(&self, forward: &ForwardIndex, out: &'o mut [DictId]) -> &'o [DictId] {
+        let out = &mut out[..self.len()];
+        match *self {
+            DocBlock::Run(start, _) => forward.read_block(start, out),
+            DocBlock::Ids(docs) => forward.gather(docs, out),
+        }
+        out
+    }
 }
 
 fn each_run_block(start: DocId, end: DocId, f: &mut impl FnMut(DocBlock<'_>)) {
@@ -292,6 +309,13 @@ impl DocSelection {
                 }
             }
         }
+    }
+
+    /// Decode scratch, in ids, that holds any one block of this
+    /// selection: [`BLOCK_SIZE`], or the whole selection when smaller, so
+    /// a few-doc selection does not pay for a full block.
+    pub(crate) fn block_scratch(&self) -> usize {
+        self.count().min(BLOCK_SIZE as u64) as usize
     }
 
     /// Iterate matching doc ids in ascending order.

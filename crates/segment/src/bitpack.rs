@@ -132,8 +132,8 @@ impl PackedIntVec {
     /// Bulk-decode `out.len()` consecutive values starting at `start`,
     /// word at a time. Widths that divide 64 (1, 2, 4, 8, 16, 32 bits)
     /// never straddle a word, so their inner loop is a shift-and-mask
-    /// over one loaded word; other widths advance a bit cursor and
-    /// splice the straddling high part from the next word.
+    /// over one loaded word; other widths shift values out of a bit
+    /// buffer and splice the straddling high part from the next word.
     pub fn unpack_block(&self, start: usize, out: &mut [u32]) {
         let n = out.len();
         assert!(
@@ -186,17 +186,62 @@ impl PackedIntVec {
                 }
             }
         } else {
-            let mut bit_pos = start * bits;
+            // Other widths: keep the current word's unread bits in a
+            // buffer and splice in the next word when a value straddles,
+            // so each word is loaded once and no value recomputes its bit
+            // position. A straddling value always has its high part in
+            // the next word.
+            let bit_pos = start * bits;
+            let mut word_idx = bit_pos / 64;
+            let mut buf = self.words[word_idx] >> (bit_pos % 64);
+            let mut avail = 64 - bit_pos % 64;
             for slot in out.iter_mut() {
-                let word = bit_pos >> 6;
-                let offset = bit_pos & 63;
-                let mut v = self.words[word] >> offset;
-                if offset + bits > 64 {
-                    v |= self.words[word + 1] << (64 - offset);
+                if avail >= bits {
+                    *slot = (buf & mask) as u32;
+                    buf >>= bits;
+                    avail -= bits;
+                } else {
+                    word_idx += 1;
+                    let next = self.words[word_idx];
+                    *slot = ((buf | next << avail) & mask) as u32;
+                    let used = bits - avail;
+                    buf = next >> used;
+                    avail = 64 - used;
                 }
-                *slot = (v & mask) as u32;
-                bit_pos += bits;
             }
+        }
+    }
+
+    /// Gather the values at positions `idx[i] - base` into `out[i]` — the
+    /// block decode for a sparse selection. `idx` must be ascending (doc
+    /// ids of one block), so one bounds check on its last entry covers
+    /// the whole gather.
+    pub fn gather(&self, idx: &[u32], base: u32, out: &mut [u32]) {
+        assert_eq!(idx.len(), out.len(), "gather index/output length mismatch");
+        let Some(&last) = idx.last() else {
+            return;
+        };
+        assert!(
+            last >= base && ((last - base) as usize) < self.len,
+            "gather index {last} - {base} out of bounds (len {})",
+            self.len
+        );
+        let bits = self.bits as usize;
+        let mask = if bits == 32 {
+            u64::from(u32::MAX)
+        } else {
+            (1u64 << bits) - 1
+        };
+        let words = &self.words[..];
+        for (slot, &i) in out.iter_mut().zip(idx) {
+            let bit_pos = (i - base) as usize * bits;
+            let word = bit_pos >> 6;
+            let offset = bit_pos & 63;
+            // A value spans at most two words; a missing second word only
+            // happens for values that end inside the first.
+            let pair = u128::from(words[word])
+                | u128::from(words.get(word + 1).copied().unwrap_or(0)) << 64;
+            *slot = ((pair >> offset) as u64 & mask) as u32;
         }
     }
 

@@ -170,6 +170,48 @@ impl ForwardIndex {
         }
     }
 
+    /// Gather the dict ids of the ascending docs `docs` into `out` — the
+    /// block decode for bitmap selections: one dispatch per block instead
+    /// of one [`get`](ForwardIndex::get) per doc. Chunked columns gather
+    /// each chunk's run of docs from that chunk, then remap. Panics on
+    /// multi-value columns.
+    pub fn gather(&self, docs: &[DocId], out: &mut [DictId]) {
+        match self {
+            ForwardIndex::SingleValue(v) => v.gather(docs, 0, out),
+            ForwardIndex::MultiValue { .. } => {
+                panic!("gather() on multi-value forward index; use get_multi()")
+            }
+            ForwardIndex::ChunkedSingle {
+                chunks,
+                tail,
+                remap,
+                ..
+            } => {
+                assert_eq!(docs.len(), out.len(), "gather doc/output length mismatch");
+                let mut i = 0;
+                while i < docs.len() {
+                    let chunk = docs[i] as usize / CHUNK_ROWS;
+                    let base = chunk * CHUNK_ROWS;
+                    if chunk < chunks.len() {
+                        let n = docs[i..].partition_point(|&d| (d as usize) < base + CHUNK_ROWS);
+                        chunks[chunk].gather(&docs[i..i + n], base as DocId, &mut out[i..i + n]);
+                        i += n;
+                    } else {
+                        // Sealed chunks are full, so every later doc is in
+                        // the open tail.
+                        for (slot, &d) in out[i..].iter_mut().zip(&docs[i..]) {
+                            *slot = tail[d as usize - base];
+                        }
+                        i = docs.len();
+                    }
+                }
+                for id in out.iter_mut() {
+                    *id = remap[*id as usize];
+                }
+            }
+        }
+    }
+
     /// Dict ids of a document (one element for single-value columns).
     pub fn get_multi(&self, doc: DocId, out: &mut Vec<DictId>) {
         out.clear();
@@ -368,6 +410,79 @@ mod tests {
             f.read_block(start as DocId, &mut out);
             assert_eq!(out, oracle[start..start + len], "start={start} len={len}");
         }
+    }
+
+    /// Ascending doc lists a block gather sees: every doc, strided
+    /// subsets that cross chunk boundaries, the docs around each
+    /// boundary, one doc, none.
+    fn gather_doc_lists(n: usize) -> Vec<Vec<DocId>> {
+        let n = n as DocId;
+        let chunk = CHUNK_ROWS as DocId;
+        let mut around: Vec<DocId> = (1..=n / chunk)
+            .flat_map(|c| c * chunk - 2..(c * chunk + 2).min(n))
+            .collect();
+        around.push(n - 1);
+        around.dedup();
+        vec![
+            (0..n).collect(),
+            (0..n).step_by(7).collect(),
+            (3..n).step_by(1021).collect(),
+            around,
+            vec![n - 1],
+            vec![],
+        ]
+    }
+
+    #[test]
+    fn gather_matches_get_at_every_width() {
+        let n = 2 * CHUNK_ROWS + 333;
+        for bits in 1..=32u8 {
+            let max = if bits == 32 {
+                u32::MAX
+            } else {
+                (1u32 << bits) - 1
+            };
+            // Flat column: full-width values, so a lost straddling high
+            // part or a wrong mask changes the answer.
+            let mut packed = PackedIntVec::new(bits);
+            for i in 0..n as u32 {
+                packed.push(i.wrapping_mul(2_654_435_761) & max);
+            }
+            let flat = ForwardIndex::SingleValue(packed);
+
+            // Chunked column at the same width: insertion ids below the
+            // remap's size, a reversing remap, and an open tail.
+            let card = max.min(4095) + 1;
+            let raw: Vec<u32> = (0..n as u32)
+                .map(|i| i.wrapping_mul(40_503) % card)
+                .collect();
+            let mut chunks = Vec::new();
+            for part in raw[..2 * CHUNK_ROWS].chunks(CHUNK_ROWS) {
+                let mut c = PackedIntVec::new(bits);
+                part.iter().for_each(|&x| c.push(x));
+                chunks.push(Arc::new(c));
+            }
+            let remap: Vec<u32> = (0..card).rev().collect();
+            let chunked =
+                ForwardIndex::chunked(chunks, raw[2 * CHUNK_ROWS..].into(), remap.into(), n);
+
+            for f in [&flat, &chunked] {
+                for docs in gather_doc_lists(n) {
+                    let want: Vec<DictId> = docs.iter().map(|&d| f.get(d)).collect();
+                    let mut got = vec![0; docs.len()];
+                    f.gather(&docs, &mut got);
+                    assert_eq!(got, want, "bits={bits} docs={}", docs.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn gather_past_the_end_panics() {
+        let f = ForwardIndex::single(&[1, 2, 3]);
+        let mut out = [0u32; 2];
+        f.gather(&[1, 3], &mut out);
     }
 
     #[test]

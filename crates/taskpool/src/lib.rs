@@ -25,8 +25,9 @@
 //!
 //! Waiting scopes *help*: while a scope has pending tasks the waiting
 //! thread executes pool work instead of blocking, which keeps nested
-//! scopes on the same pool deadlock-free and makes the 1-thread mode run
-//! mostly on the caller's own thread.
+//! scopes on the same pool deadlock-free. In the 1-thread mode only the
+//! pool's own worker helps; an outside waiter blocks, so the one worker
+//! is the only popper and runs a scope's tasks in spawn order.
 //!
 //! Metrics (when constructed with an [`Obs`] sink): `taskpool.tasks_run`,
 //! `taskpool.tasks_stolen`, `taskpool.tasks_cancelled`,
@@ -231,10 +232,14 @@ std::thread_local! {
     /// wait). Lets morsel tasks attribute work migration: a task that
     /// runs off its home worker was stolen or helped.
     static WORKER_INDEX: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    /// Address of the `PoolShared` of the pool this thread works for, 0
+    /// on non-worker threads: tells a pool's own workers from outsiders.
+    static WORKER_POOL: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 fn worker_loop(shared: Arc<PoolShared>, idx: usize) {
     WORKER_INDEX.with(|w| w.set(Some(idx)));
+    WORKER_POOL.with(|p| p.set(Arc::as_ptr(&shared) as usize));
     loop {
         if let Some(job) = shared.pop_for_worker(idx) {
             shared.run_job(job);
@@ -323,6 +328,11 @@ impl TaskPool {
     /// from outside any pool's workers (e.g. a scope owner helping).
     pub fn current_worker() -> Option<usize> {
         WORKER_INDEX.with(|w| w.get())
+    }
+
+    /// True when the calling thread is one of this pool's workers.
+    fn is_own_worker(&self) -> bool {
+        WORKER_POOL.with(|p| p.get()) == Arc::as_ptr(&self.shared) as usize
     }
 
     // ---- counters (tests assert on these; obs mirrors them) ----
@@ -437,14 +447,21 @@ impl TaskPool {
 
     /// Wait for a scope's tasks, executing pool work while waiting (the
     /// "help" protocol) so nested scopes on one pool cannot deadlock.
+    /// One exception: an outside thread waiting on a one-worker pool only
+    /// blocks, so that pool's single worker pops every task and a scope's
+    /// tasks run in spawn order. Its worker still helps with nested
+    /// scopes, which is all deadlock freedom needs.
     fn wait_scope(&self, state: &ScopeState) {
+        let help = self.threads > 1 || self.is_own_worker();
         loop {
             if state.pending.load(Ordering::SeqCst) == 0 {
                 return;
             }
-            if let Some(job) = self.shared.pop_any() {
-                self.shared.run_job(job);
-                continue;
+            if help {
+                if let Some(job) = self.shared.pop_any() {
+                    self.shared.run_job(job);
+                    continue;
+                }
             }
             let guard = state.lock.lock().unwrap();
             if state.pending.load(Ordering::SeqCst) == 0 {
@@ -671,7 +688,7 @@ mod tests {
                 s.spawn(move || order.lock().push(i));
             }
         });
-        // One worker + FIFO queues; the helping waiter also pops FIFO.
+        // One worker + FIFO queues; the outside waiter does not pop.
         assert_eq!(*order.lock(), (0..50).collect::<Vec<_>>());
     }
 
